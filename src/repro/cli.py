@@ -576,7 +576,7 @@ def cmd_dse(args) -> int:
     with recording() as recorder:
         (model, _), _ = _load_model(args)
         from repro.dse import explore
-        result = explore(model, jobs=args.jobs)
+        result = explore(model)
     print(f"explored {len(result.explored)} configurations in"
           f" {result.steps} steps"
           f" ({result.cache_misses} evaluated,"
@@ -649,7 +649,7 @@ def cmd_bench(args) -> int:
 
     ops = set(args.op) if args.op else None
     with recording() as recorder:
-        results = run_bench(quick=args.quick, jobs=args.jobs, ops=ops,
+        results = run_bench(quick=args.quick, ops=ops,
                             progress=lambda msg: print(msg,
                                                        file=sys.stderr))
 
@@ -1045,9 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse = sub.add_parser("dse", help="explore parallelism configurations")
     dse.add_argument("model")
     dse.add_argument("--weights")
-    dse.add_argument("--jobs", type=int, default=1,
-                     help="evaluate candidate moves concurrently"
-                          " (identical result for any value)")
     telemetry_flags(dse)
     dse.set_defaults(func=cmd_dse)
 
@@ -1068,8 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true",
                        help="run the small CI suite (TC1/LeNet rows"
                             " only)")
-    bench.add_argument("--jobs", type=int, default=4,
-                       help="DSE evaluation threads (default 4)")
     bench.add_argument("--op", action="append", metavar="OP",
                        choices=["engine", "engine-steady", "dse", "sim",
                                 "serve", "obs-overhead",

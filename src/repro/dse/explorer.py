@@ -10,11 +10,9 @@ explored to find the optimal tradeoff between resource consumption and
 performance") and converges to a balanced pipeline.
 
 Evaluation goes through :class:`repro.dse.evaluator.CachedEvaluator`
-(content-keyed memoization — a move re-estimates only the PE it changed)
-and, with ``jobs > 1``, a :class:`~repro.dse.evaluator.ParallelEvaluator`
-that fans one step's candidate moves out over a thread pool.  Candidate
-results are consumed in submission order, so the chosen trajectory is
-identical for any job count.
+(content-keyed memoization — a move re-estimates only the PE it changed).
+Each step evaluates its candidate moves in order, one ``dse.evaluate``
+span per candidate, so the chosen trajectory is deterministic.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ from repro.hw.perf import AcceleratorPerformance
 from repro.hw.resources import ResourceVector, device_for_board
 from repro.dse.evaluator import (
     CachedEvaluator,
+    EvaluatedPoint,
     EvaluationCache,
-    ParallelEvaluator,
 )
 from repro.dse.frontier import ParetoFrontier
 from repro.dse.space import parallelism_moves
@@ -78,33 +76,41 @@ def explore(model: CondorModel, *,
             mapping: MappingConfig | None = None,
             cal: Calibration = DEFAULT_CALIBRATION,
             max_steps: int = 64,
-            jobs: int = 1,
             cache: EvaluationCache | None = None,
             memoize: bool = True) -> DSEResult:
     """Run the greedy explorer for ``model``; returns the best mapping
     found under the calibration's DSP/BRAM budget fractions.
 
-    ``jobs`` evaluates each step's candidate moves concurrently (identical
-    result for any value); ``cache`` shares memoized evaluations across
-    calls for the same model and calibration.  ``memoize=False`` restores
-    the evaluate-from-scratch behaviour — the baseline ``condor bench``
+    ``cache`` shares memoized evaluations across calls for the same
+    model and calibration.  ``memoize=False`` restores the
+    evaluate-from-scratch behaviour — the baseline ``condor bench``
     reports DSE speedup against.
     """
-    with span("dse.explore", network=model.network.name, jobs=jobs):
+    with span("dse.explore", network=model.network.name):
         evaluator = CachedEvaluator(model, cal, cache=cache,
                                     memoize=memoize)
-        with ParallelEvaluator(evaluator, jobs=jobs) as pool:
-            return _explore(model, mapping=mapping, cal=cal,
-                            max_steps=max_steps, pool=pool)
+        return _explore(model, mapping=mapping, cal=cal,
+                        max_steps=max_steps, evaluator=evaluator)
+
+
+def _evaluate_candidate(evaluator: CachedEvaluator,
+                        mapping: MappingConfig) \
+        -> EvaluatedPoint | CondorError:
+    """Evaluate one candidate move; an infeasible mapping yields its
+    error object instead of raising."""
+    with span("dse.evaluate"):
+        try:
+            return evaluator.evaluate(mapping)
+        except CondorError as exc:
+            return exc
 
 
 def _explore(model: CondorModel, *,
              mapping: MappingConfig | None,
              cal: Calibration,
              max_steps: int,
-             pool: ParallelEvaluator) -> DSEResult:
+             evaluator: CachedEvaluator) -> DSEResult:
     net = model.network
-    evaluator = pool.evaluator
     device = device_for_board(model.board)
     budget = ResourceVector(
         lut=device.capacity.lut,
@@ -138,7 +144,8 @@ def _explore(model: CondorModel, *,
             moves.extend(parallelism_moves(net, current, current.pes[index],
                                            cal.max_ports))
         best = None  # (objective, dsp, mapping, perf, resources)
-        for move, outcome in zip(moves, pool.evaluate_many(moves)):
+        for move in moves:
+            outcome = _evaluate_candidate(evaluator, move)
             if isinstance(outcome, CondorError):
                 # infeasible move (mapping/resource violation) — not a
                 # candidate

@@ -24,7 +24,6 @@ from repro.nn.plan import (
     PlanCache,
     compile_plan,
     default_plan_cache,
-    plans_disabled,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "ReferenceEngine",
     "compile_plan",
     "default_plan_cache",
-    "plans_disabled",
 ]

@@ -5,19 +5,22 @@ baseline for the evaluation harness.
 
 Two execution paths produce bit-identical outputs:
 
-* the **oracle** path (:meth:`ReferenceEngine.run_layer` /
-  :meth:`~ReferenceEngine.run_layer_batch`) — stride-trick kernels from
-  :mod:`repro.nn.functional` that re-derive geometry on every call;
-* the **planned** path — each (layer, input shape, dtype) configuration
-  is compiled once into an :class:`repro.nn.plan.ExecutionPlan`
-  (precomputed gather-index maps, packed weights, scratch buffers) and
-  replayed from a process-wide LRU cache on every subsequent call.
+* the **planned** path (production) — each (layer, input shape, dtype)
+  configuration is compiled once into an
+  :class:`repro.nn.plan.ExecutionPlan` (precomputed gather-index maps,
+  packed weights, scratch buffers) and replayed over the whole
+  ``(N, C, H, W)`` batch from a process-wide LRU cache;
+* the **oracle** path (:meth:`ReferenceEngine.run_layer`) — single-sample
+  stride-trick kernels from :mod:`repro.nn.functional` that re-derive
+  geometry on every call.  The simulator and :meth:`activations` use it
+  directly; ``ReferenceEngine(..., use_plans=False)`` loops it per sample.
 
-Plans are on by default; ``REPRO_NO_PLAN_CACHE=1`` or
-``ReferenceEngine(..., use_plans=False)`` falls back to the oracle.  The
-engine hot loops deliberately allocate nothing shape-derived — all
-scratch lives inside plans (enforced by the ``engine-plan-alloc`` lint
-rule).
+:meth:`~ReferenceEngine.run_batch` is the one network-level loop;
+:meth:`~ReferenceEngine.forward` is a batch of one through it.  While a
+span recorder is active the loop wraps itself in an ``engine.run_batch``
+span and each layer in an ``engine.layer`` span.  The engine hot loop
+deliberately allocates nothing shape-derived — all scratch lives inside
+plans (enforced by the ``engine-plan-alloc`` lint rule).
 """
 
 from __future__ import annotations
@@ -40,12 +43,7 @@ from repro.ir.layers import (
 )
 from repro.ir.network import Network
 from repro.nn import functional as F
-from repro.nn.plan import (
-    ExecutionPlan,
-    PlanCache,
-    default_plan_cache,
-    plans_disabled,
-)
+from repro.nn.plan import ExecutionPlan, PlanCache, default_plan_cache
 from repro.obs import current_recorder, span
 
 _ACTIVATIONS = {
@@ -62,20 +60,19 @@ class ReferenceEngine:
     share across threads — compiled plans keep their replay scratch in
     per-thread storage; pass a private
     :class:`~repro.nn.plan.PlanCache` only to isolate cache statistics
-    or eviction behaviour.  ``use_plans`` forces the
-    planned path on (``True``) or off (``False``); the default ``None``
-    follows the ``REPRO_NO_PLAN_CACHE`` environment escape hatch.
+    or eviction behaviour.  ``use_plans=False`` runs the oracle instead:
+    :meth:`run_layer` looped over the samples of each batch.
     """
 
     def __init__(self, net: Network, weights: WeightStore, *,
                  plan_cache: PlanCache | None = None,
-                 use_plans: bool | None = None):
+                 use_plans: bool = True):
         weights.validate(net)
         self.net = net
         self.weights = weights
         self.plan_cache = plan_cache if plan_cache is not None \
             else default_plan_cache()
-        self._use_plans = use_plans
+        self.use_plans = use_plans
         #: layer name -> (weight version, in_shape, dtype, plan) — the
         #: steady-state fast path that skips the cache dict entirely.
         self._resolved: dict[str, tuple[int, tuple[int, ...], np.dtype,
@@ -126,61 +123,7 @@ class ReferenceEngine:
             return fn(x)
         raise TypeError(f"unknown layer type {type(layer).__name__}")
 
-    def run_layer_batch(self, layer: Layer, x: np.ndarray) -> np.ndarray:
-        """Execute one layer on an (N, C, H, W) batch.
-
-        Bit-identical to mapping :meth:`run_layer` over the batch (see the
-        accumulation-order notes in :mod:`repro.nn.functional`).
-        """
-        if isinstance(layer, InputLayer):
-            expected = layer.shape.as_tuple()
-            if tuple(x.shape[1:]) != expected:
-                raise ShapeError(
-                    f"input shape {tuple(x.shape[1:])} does not match"
-                    f" declared {expected}")
-            return x
-        if isinstance(layer, ConvLayer):
-            out = F.conv2d_batch(
-                x,
-                self.weights.get(layer.name, "weights"),
-                self.weights.get(layer.name, "bias") if layer.bias else None,
-                stride=layer.stride,
-                pad=layer.pad,
-            )
-            if layer.activation is not Activation.NONE:
-                out = _ACTIVATIONS[layer.activation](out)
-            return out
-        if isinstance(layer, PoolLayer):
-            assert layer.stride is not None
-            pool = F.max_pool2d_batch if layer.op is PoolOp.MAX \
-                else F.avg_pool2d_batch
-            return pool(x, layer.kernel, layer.stride, layer.pad,
-                        ceil_mode=layer.ceil_mode)
-        if isinstance(layer, ActivationLayer):
-            return _ACTIVATIONS[layer.kind](x)
-        if isinstance(layer, FlattenLayer):
-            return x.reshape(x.shape[0], -1, 1, 1)
-        if isinstance(layer, FullyConnectedLayer):
-            out = F.fully_connected_batch(
-                x,
-                self.weights.get(layer.name, "weights"),
-                self.weights.get(layer.name, "bias") if layer.bias else None,
-            )
-            if layer.activation is not Activation.NONE:
-                out = _ACTIVATIONS[layer.activation](out)
-            return out.reshape(x.shape[0], -1, 1, 1)
-        if isinstance(layer, SoftmaxLayer):
-            fn = F.log_softmax_batch if layer.log else F.softmax_batch
-            return fn(x)
-        raise TypeError(f"unknown layer type {type(layer).__name__}")
-
     # -- execution plans ------------------------------------------------------
-
-    def plans_active(self) -> bool:
-        """Whether forward passes replay compiled execution plans."""
-        if self._use_plans is not None:
-            return self._use_plans
-        return not plans_disabled()
 
     def _plan_for(self, layer: Layer, in_shape: tuple[int, ...],
                   dtype: np.dtype) -> ExecutionPlan:
@@ -202,7 +145,7 @@ class ReferenceEngine:
         return plan
 
     def _post_layer(self, layer: Layer, out: np.ndarray) -> np.ndarray:
-        """Per-sample/per-batch hook applied after every planned layer.
+        """Hook applied to the batch output of every planned layer.
 
         The base engine is the identity; :class:`~repro.quant.apply.
         QuantizedEngine` rounds activations here so its dynamic
@@ -213,7 +156,7 @@ class ReferenceEngine:
     def plan_stats(self) -> dict:
         """Plan-cache counters + this engine's resolution state."""
         stats = self.plan_cache.stats()
-        stats["plans_active"] = self.plans_active()
+        stats["plans_active"] = self.use_plans
         stats["resolved_layers"] = len(self._resolved)
         return stats
 
@@ -225,81 +168,63 @@ class ReferenceEngine:
     # -- network-level API ----------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run one sample through the whole network."""
+        """Run one sample through the whole network (a batch of one)."""
         x = np.asarray(x, dtype=np.float32)
-        if not self.plans_active():
-            for layer in self.net.layers:
-                x = self.run_layer(layer, x)
-            return x
-        owns_output = True
-        for layer in self.net.layers:
-            plan = self._plan_for(layer, tuple(x.shape), x.dtype)
-            out = plan.run(x)
-            x = self._post_layer(layer, out)
-            owns_output = not plan.returns_scratch or x is not out
-        # never hand plan-owned scratch to the caller — the next forward
-        # pass would overwrite it in place
-        return x if owns_output else x.copy()
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """Single-sample forward through the batched kernels."""
-        x = np.asarray(x, dtype=np.float32)
-        return self.run_batch(x[None])[0]
+        return self._run_batch(x[None])[0]
 
     def run_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Run an (N, C, H, W) batch through the batched kernels.
+        """Run an (N, C, H, W) batch through the whole network.
 
-        The whole batch moves through each layer at once (one im2col GEMM
-        per conv layer, vectorized pool/activation/softmax), which amortizes
-        the per-layer dispatch and GEMM setup over the batch; outputs are
-        bit-identical to :meth:`forward` of each sample.
+        The whole batch moves through each layer at once (one plan
+        replay per layer), which amortizes the per-layer dispatch over
+        the batch; outputs are bit-identical to :meth:`forward` of each
+        sample.
+        """
+        return self._run_batch(batch)
+
+    def _run_batch(self, batch: np.ndarray) -> np.ndarray:
+        """The network loop behind :meth:`run_batch` and :meth:`forward`.
+
+        Kept apart from :meth:`run_batch` so a subclass that overrides
+        the batch entry point per sample (:class:`~repro.quant.apply.
+        QuantizedEngine`) can still run its samples through this loop.
         """
         batch = np.asarray(batch, dtype=np.float32)
         if batch.ndim != 4:
             raise ShapeError(
                 f"run_batch expects (N, C, H, W), got {batch.shape}")
-        if current_recorder() is not None:
-            return self._run_batch_traced(batch)
-        if not self.plans_active():
-            for layer in self.net.layers:
-                batch = self.run_layer_batch(layer, batch)
-            return batch
-        x = batch
-        owns_output = True
-        for layer in self.net.layers:
-            plan = self._plan_for(layer, tuple(x.shape[1:]), x.dtype)
-            out = plan.run_batch(x)
-            x = self._post_layer(layer, out)
-            owns_output = not plan.returns_scratch or x is not out
-        return x if owns_output else x.copy()
-
-    def _run_batch_traced(self, batch: np.ndarray) -> np.ndarray:
-        """The :meth:`run_batch` body with per-layer spans.
-
-        Kept as a separate method so the untraced hot path stays free
-        of span plumbing: the engine only pays for tracing while a
-        recorder is active (and the worker thread running this batch
-        inherited it via ``contextvars.copy_context``, so these spans
-        nest under the submitting request's span).  Same calls in the
-        same order — outputs are bit-identical to the untraced path.
-        """
+        if current_recorder() is None:
+            return self._run_layers(batch, traced=False)
         with span("engine.run_batch", batch=int(batch.shape[0]),
                   layers=len(self.net.layers)):
-            if not self.plans_active():
-                for layer in self.net.layers:
-                    with span("engine.layer", layer=layer.name):
-                        batch = self.run_layer_batch(layer, batch)
-                return batch
-            x = batch
-            owns_output = True
-            for layer in self.net.layers:
+            return self._run_layers(batch, traced=True)
+
+    def _run_layers(self, x: np.ndarray, traced: bool) -> np.ndarray:
+        owns_output = True
+        for layer in self.net.layers:
+            if traced:
                 with span("engine.layer", layer=layer.name):
-                    plan = self._plan_for(layer, tuple(x.shape[1:]),
-                                          x.dtype)
-                    out = plan.run_batch(x)
-                    x = self._post_layer(layer, out)
-                    owns_output = not plan.returns_scratch or x is not out
-            return x if owns_output else x.copy()
+                    x, owns_output = self._layer_step(layer, x)
+            else:
+                x, owns_output = self._layer_step(layer, x)
+        # never hand plan-owned scratch to the caller — the next pass
+        # would overwrite it in place
+        return x if owns_output else x.copy()
+
+    def _layer_step(self, layer: Layer, x: np.ndarray) \
+            -> tuple[np.ndarray, bool]:
+        """One layer over a batch; returns ``(output, output is ours)``.
+
+        ``False`` in the second slot means the output aliases plan
+        scratch and must be copied before it leaves the engine.
+        """
+        if not self.use_plans:
+            return F.map_samples(
+                lambda sample: self.run_layer(layer, sample), x), True
+        plan = self._plan_for(layer, tuple(x.shape[1:]), x.dtype)
+        out = plan.run_batch(x)
+        x = self._post_layer(layer, out)
+        return x, not plan.returns_scratch or x is not out
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         """Run an (N, C, H, W) batch (alias of :meth:`run_batch`)."""

@@ -7,25 +7,21 @@ standard way to get near-BLAS throughput out of numpy; the window view
 avoids materializing patch copies until the single reshape before the GEMM,
 per the "views not copies" guidance.
 
-Every kernel also has a ``*_batch`` variant over ``(N, C, H, W)`` arrays.
-The batched variants are **bit-identical** to mapping the per-sample kernel
-over the batch — the property the evaluation harness asserts with
-``np.array_equal`` — which constrains how they may vectorize:
-
-* windowed reductions (pooling) and row-wise reductions (softmax) keep the
-  same per-element reduction runs, so adding a leading batch axis does not
-  change any accumulation order;
-* the conv GEMM concatenates the per-sample patch matrices column-wise and
-  issues one GEMM — BLAS accumulates over K identically for every output
-  column regardless of how many columns the GEMM has — *except* when the
-  per-sample GEMM has a single output column (``OH*OW == 1``), where numpy
-  dispatches a matrix-vector product with a different accumulation order;
-  that case falls back to the per-sample kernel;
-* the fully-connected layer is always the single-column case, so its batch
-  variant loops the per-sample matrix-vector product.
+These single-sample kernels are the engine's oracle.  The pooling and
+softmax kernels also have ``*_batch`` variants over ``(N, C, H, W)``
+arrays, which the execution plans replay where a gathered copy would
+change the arithmetic (average pooling) or cannot apply (non-float
+dtypes).  They are **bit-identical** to mapping the per-sample kernel over
+the batch — the property the evaluation harness asserts with
+``np.array_equal`` — because windowed reductions (pooling) and row-wise
+reductions (softmax) keep the same per-element reduction runs, so adding
+a leading batch axis does not change any accumulation order.
+:func:`map_samples` runs any single-sample kernel over a batch.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -144,60 +140,6 @@ def sliding_windows_batch(x: np.ndarray, kernel: tuple[int, int],
     )
 
 
-def im2col_batch(x: np.ndarray, kernel: tuple[int, int],
-                 stride: tuple[int, int] = (1, 1),
-                 pad: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Lower a batch to an ``(N, C*KH*KW, OH*OW)`` patch-matrix stack.
-
-    ``im2col_batch(x, ...)[n]`` equals ``im2col(x[n], ...)``, so a stacked
-    matmul against this array covers the whole batch in one call.
-    """
-    x = _pad_hw(x, pad)
-    windows = sliding_windows_batch(x, kernel, stride)
-    n, c, oh, ow, kh, kw = windows.shape
-    # (N, C, KH, KW, OH, OW) -> (N, C*KH*KW, OH*OW); the transpose is a
-    # view, the reshape makes the single necessary copy.
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        n, c * kh * kw, oh * ow)
-
-
-def conv2d_batch(x: np.ndarray, weights: np.ndarray,
-                 bias: np.ndarray | None = None,
-                 stride: tuple[int, int] = (1, 1),
-                 pad: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Batched :func:`conv2d`: ``(N, C, H, W)`` → ``(N, F, OH, OW)``.
-
-    Bit-identical to stacking per-sample :func:`conv2d` results: the
-    stacked ``(F, K) @ (N, K, OH*OW)`` matmul runs the *same* BLAS kernel
-    on the same 2-D operands per sample as the per-sample GEMM, so every
-    accumulation order is preserved (concatenating the batch into one wide
-    GEMM would not be — BLAS picks different kernels by column count).
-    The batch win is one im2col/pad/bias/dispatch per layer instead of N.
-    """
-    _check_nchw(x, "conv2d_batch")
-    if weights.ndim != 4:
-        raise ShapeError(
-            f"conv2d weights must be (F, C, KH, KW), got {weights.shape}")
-    f, c, kh, kw = weights.shape
-    if c != x.shape[1]:
-        raise ShapeError(
-            f"conv2d channel mismatch: input has {x.shape[1]}, weights"
-            f" expect {c}")
-    if bias is not None and bias.shape != (f,):
-        raise ShapeError(
-            f"conv2d bias must have shape ({f},), got {bias.shape}")
-    n = x.shape[0]
-    h = x.shape[2] + 2 * pad[0]
-    w = x.shape[3] + 2 * pad[1]
-    oh = (h - kh) // stride[0] + 1
-    ow = (w - kw) // stride[1] + 1
-    cols = im2col_batch(x, (kh, kw), stride, pad)
-    out = np.matmul(weights.reshape(f, c * kh * kw), cols)
-    if bias is not None:
-        out += bias[:, None]
-    return out.reshape(n, f, oh, ow)
-
-
 def pool_pad_amounts(hw: tuple[int, int], kernel: tuple[int, int],
                      stride: tuple[int, int], pad: tuple[int, int],
                      ceil_mode: bool) -> tuple[int, int, int, int]:
@@ -306,29 +248,11 @@ def fully_connected(x: np.ndarray, weights: np.ndarray,
     return out
 
 
-def fully_connected_batch(x: np.ndarray, weights: np.ndarray,
-                          bias: np.ndarray | None = None) -> np.ndarray:
-    """Batched :func:`fully_connected`: ``(N, ...)`` → ``(N, F)``.
-
-    The per-sample kernel is a matrix-vector product; fusing the batch into
-    one wide GEMM would change the BLAS accumulation order (gemv vs gemm
-    kernels), so the batch runs as a stacked ``(F, K) @ (N, K, 1)`` matmul
-    — the same per-sample kernel, dispatched once — which keeps the result
-    bit-identical to the per-sample path.
-    """
-    n = x.shape[0]
-    flat = x.reshape(n, -1)
-    if weights.ndim != 2 or weights.shape[1] != flat.shape[1]:
-        raise ShapeError(
-            f"fc weights must be (N, {flat.shape[1]}), got {weights.shape}")
-    if bias is not None and bias.shape != (weights.shape[0],):
-        raise ShapeError(
-            f"fc bias must have shape ({weights.shape[0]},), got"
-            f" {bias.shape}")
-    out = np.matmul(weights, flat[:, :, None])[:, :, 0]
-    if bias is not None:
-        out = out + bias
-    return out
+def map_samples(fn: Callable[[np.ndarray], np.ndarray],
+                x: np.ndarray) -> np.ndarray:
+    """Apply a single-sample kernel to every sample of an ``(N, ...)``
+    batch and stack the results (the engine's unplanned oracle path)."""
+    return np.stack([fn(sample) for sample in x])
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -394,15 +318,14 @@ def log_softmax_batch(x: np.ndarray) -> np.ndarray:
 # call.  When the same (shape, dtype) configuration recurs — steady-state
 # serving runs identical layer shapes millions of times — the geometry can
 # be compiled once into a flat gather-index map and replayed with a single
-# ``take``.  The maps below index into the *flattened padded* activation,
-# so one map serves both the single-sample path (``flat.take(map)``) and
-# the batched path (``np.take(flat2d, map, axis=1)``).  Output values are
-# bit-identical to the stride-trick kernels: a gather is a pure data
-# movement, and the downstream GEMM / max reduction sees the same operand
-# values in the same logical order.  (Average pooling is the exception:
-# ``mean`` over a gathered contiguous copy pairs partial sums differently
-# than over the strided window view, so avg-pool plans replay the
-# stride-trick kernel — see :mod:`repro.nn.plan`.)
+# ``take``.  The maps below index into one *flattened padded* sample, so
+# a plan gathers a whole batch with ``np.take(flat2d, map, axis=1)``.
+# Output values are bit-identical to the stride-trick kernels: a gather
+# is a pure data movement, and the downstream GEMM / max reduction sees
+# the same operand values in the same logical order.  (Average pooling
+# is the exception: ``mean`` over a gathered contiguous copy pairs
+# partial sums differently than over the strided window view, so avg-pool
+# plans replay the stride-trick kernel — see :mod:`repro.nn.plan`.)
 
 
 def im2col_index_map(in_shape: tuple[int, int, int],

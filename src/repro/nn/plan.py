@@ -9,11 +9,15 @@ compiled result — this module compiles each layer once into an
 :class:`ExecutionPlan`:
 
 * a flat gather-index map (:func:`~repro.nn.functional.im2col_index_map`
-  / :func:`~repro.nn.functional.pool_index_map`) shared by the single
-  and batched paths;
+  / :func:`~repro.nn.functional.pool_index_map`) over one sample, applied
+  to every sample of a batch by one ``take``;
 * pre-packed weight matrices and pre-broadcast bias columns;
-* pre-allocated padded-input / patch-matrix / output scratch buffers;
+* pre-allocated padded-input / patch-matrix / output scratch buffers per
+  batch size;
 * a fused conv+bias+ReLU step list replayed with in-place kernels.
+
+Plans only run batches (:meth:`ExecutionPlan.run_batch` over
+``(N, C, H, W)``); the engine runs a single sample as a batch of one.
 
 Replay is **bit-identical** to the unplanned kernels: gathers move the
 same values into the same logical order, the GEMMs see the same 2-D
@@ -27,9 +31,7 @@ stride-trick kernel unchanged.
 per-layer weight version, layer config, input shape, dtype).  Mutating a
 layer's blobs through :meth:`~repro.frontend.weights.WeightStore.set`
 bumps its version, so stale plans can never be replayed; they age out of
-the LRU.  ``REPRO_NO_PLAN_CACHE=1`` disables planning engine-wide (the
-escape hatch the equivalence tests exercise), and
-``REPRO_PLAN_CACHE_SIZE`` overrides the default LRU capacity.
+the LRU.  ``REPRO_PLAN_CACHE_SIZE`` overrides the default LRU capacity.
 
 Plans are safe to replay from multiple threads at once: the compiled
 geometry (index maps, packed weights, bias columns) is immutable and
@@ -71,21 +73,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.frontend.weights import WeightStore
 
 __all__ = [
-    "DISABLE_ENV",
     "SIZE_ENV",
     "ExecutionPlan",
     "PlanCache",
     "compile_plan",
     "default_plan_cache",
-    "plans_disabled",
 ]
 
-DISABLE_ENV = "REPRO_NO_PLAN_CACHE"
 SIZE_ENV = "REPRO_PLAN_CACHE_SIZE"
 DEFAULT_CAPACITY = 256
 
 #: Distinct batch sizes a plan keeps scratch for (serving traffic runs a
-#: few stable batch sizes; anything beyond rotates out LRU-style).
+#: few stable batch sizes — the 1/2/4/8 bucket ladder, whose batch-1 slot
+#: single-sample ``forward`` shares; anything beyond rotates out
+#: LRU-style).
 MAX_BATCH_VARIANTS = 4
 
 PLAN_HITS = REGISTRY.counter(
@@ -111,11 +112,6 @@ PLAN_COMPILE_SECONDS = REGISTRY.histogram(
     "Wall seconds spent compiling execution plans")
 
 
-def plans_disabled() -> bool:
-    """True when ``REPRO_NO_PLAN_CACHE=1`` (the escape hatch)."""
-    return os.environ.get(DISABLE_ENV, "") == "1"
-
-
 def _env_capacity() -> int:
     raw = os.environ.get(SIZE_ENV, "")
     if not raw:
@@ -133,9 +129,9 @@ def _env_capacity() -> int:
 class ExecutionPlan:
     """One compiled layer: precomputed geometry + scratch + replay steps.
 
-    ``run`` / ``run_batch`` return arrays that may alias plan-owned
-    scratch (``returns_scratch``); the engine copies the final network
-    output before handing it to callers.
+    ``run_batch`` returns arrays that may alias plan-owned scratch
+    (``returns_scratch``); the engine copies the final network output
+    before handing it to callers.
     """
 
     kind = "plan"
@@ -148,15 +144,11 @@ class ExecutionPlan:
         self.dtype = dtype
         self.steps = steps
 
-    def _check(self, shape: tuple[int, ...], batched: bool) -> None:
-        got = shape[1:] if batched else shape
-        if got != self.in_shape:
+    def _check(self, shape: tuple[int, ...]) -> None:
+        if shape[1:] != self.in_shape:
             raise ShapeError(
                 f"plan for layer {self.layer_name!r} expects input shape"
-                f" {self.in_shape}, got {got}")
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+                f" {self.in_shape}, got {shape[1:]}")
 
     def run_batch(self, xb: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -175,12 +167,8 @@ class _InputPlan(ExecutionPlan):
         super().__init__(layer, tuple(layer.shape.as_tuple()), dtype,
                          ("check",))
 
-    def run(self, x):
-        self._check(tuple(x.shape), batched=False)
-        return x
-
     def run_batch(self, xb):
-        self._check(tuple(xb.shape), batched=True)
+        self._check(tuple(xb.shape))
         return xb
 
 
@@ -261,7 +249,6 @@ class _ConvPlan(ExecutionPlan):
         self._out_shape = (f, oh * ow)
         self._out3_shape = (f, oh, ow)
         self._out_dtype = out_dtype
-        self._single = _PerThread(self._make_single)
         self._batch = _PerThread(
             lambda: _BatchScratch(self._make_batch))
         steps = ["pad"] if self._needs_pad else []
@@ -271,15 +258,6 @@ class _ConvPlan(ExecutionPlan):
         if self._activation is not Activation.NONE:
             steps.append(self._activation.value)
         super().__init__(layer, tuple(in_shape), dtype, tuple(steps))
-
-    def _make_single(self) -> tuple:
-        pad_buf = pad_flat = None
-        if self._needs_pad:
-            pad_buf = np.zeros(self._padded_shape, self.dtype)
-            pad_flat = pad_buf.reshape(-1)
-        cols = np.empty(self._index_map.shape, self.dtype)
-        out = np.empty(self._out_shape, self._out_dtype)
-        return pad_buf, pad_flat, cols, out, out.reshape(self._out3_shape)
 
     def _make_batch(self, n: int) -> tuple:
         f, m = self._out_shape
@@ -299,22 +277,8 @@ class _ConvPlan(ExecutionPlan):
             return np.tanh(out)
         return out
 
-    def run(self, x):
-        self._check(tuple(x.shape), batched=False)
-        pad_buf, pad_flat, cols, out, out3d = self._single.get()
-        if pad_buf is not None:
-            pad_buf[self._interior] = x
-            flat = pad_flat
-        else:
-            flat = x.reshape(-1)
-        flat.take(self._index_map, out=cols)
-        np.matmul(self._packed, cols, out=out)
-        if self._bias_col is not None:
-            np.add(out, self._bias_col, out=out)
-        return self._finish(out3d)
-
     def run_batch(self, xb):
-        self._check(tuple(xb.shape), batched=True)
+        self._check(tuple(xb.shape))
         n = xb.shape[0]
         pad_buf, cols, out, out4d = self._batch.get().get(n)
         if pad_buf is not None:
@@ -353,22 +317,11 @@ class _MaxPoolPlan(ExecutionPlan):
                               slice(pw, pw + w))
         self._out_len = c * oh * ow
         self._out3_shape = (c, oh, ow)
-        self._single = _PerThread(self._make_single)
         self._batch = _PerThread(
             lambda: _BatchScratch(self._make_batch))
         steps = ["pad"] if self._needs_pad else []
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          tuple(steps + ["gather", "max"]))
-
-    def _make_single(self) -> tuple:
-        pad_buf = pad_flat = None
-        if self._needs_pad:
-            pad_buf = np.full(self._padded_shape, -np.inf, self.dtype)
-            pad_flat = pad_buf.reshape(-1)
-        gathered = np.empty(self._index_map.shape, self.dtype)
-        out = np.empty(self._out_len, self.dtype)
-        return (pad_buf, pad_flat, gathered, out,
-                out.reshape(self._out3_shape))
 
     def _make_batch(self, n: int) -> tuple:
         pad_buf = None
@@ -380,20 +333,8 @@ class _MaxPoolPlan(ExecutionPlan):
         c, oh, ow = self._out3_shape
         return pad_buf, gathered, out, out.reshape(n, c, oh, ow)
 
-    def run(self, x):
-        self._check(tuple(x.shape), batched=False)
-        pad_buf, pad_flat, gathered, out, out3d = self._single.get()
-        if pad_buf is not None:
-            pad_buf[self._interior] = x
-            flat = pad_flat
-        else:
-            flat = x.reshape(-1)
-        flat.take(self._index_map, out=gathered)
-        np.maximum.reduce(gathered, axis=0, out=out)
-        return out3d
-
     def run_batch(self, xb):
-        self._check(tuple(xb.shape), batched=True)
+        self._check(tuple(xb.shape))
         n = xb.shape[0]
         pad_buf, gathered, out, out4d = self._batch.get().get(n)
         if pad_buf is not None:
@@ -427,7 +368,6 @@ class _FCPlan(ExecutionPlan):
         self._activation = layer.activation
         self._features = f
         self._out_dtype = out_dtype
-        self._single = _PerThread(self._make_single)
         self._batch = _PerThread(
             lambda: _BatchScratch(self._make_batch))
         steps = ["gemv"]
@@ -437,10 +377,6 @@ class _FCPlan(ExecutionPlan):
             steps.append(self._activation.value)
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          tuple(steps))
-
-    def _make_single(self) -> tuple:
-        out = np.empty(self._features, self._out_dtype)
-        return out, out.reshape(self._features, 1, 1)
 
     def _make_batch(self, n: int) -> tuple:
         f = self._features
@@ -456,17 +392,8 @@ class _FCPlan(ExecutionPlan):
             return np.tanh(out)
         return out
 
-    def run(self, x):
-        self._check(tuple(x.shape), batched=False)
-        out, out3d = self._single.get()
-        np.matmul(self._weights, x.reshape(-1), out=out)
-        if self._bias is not None:
-            np.add(out, self._bias, out=out)
-        self._finish(out)
-        return out3d
-
     def run_batch(self, xb):
-        self._check(tuple(xb.shape), batched=True)
+        self._check(tuple(xb.shape))
         n = xb.shape[0]
         out3, out2, out4 = self._batch.get().get(n)
         np.matmul(self._weights, xb.reshape(n, -1)[:, :, None], out=out3)
@@ -486,9 +413,6 @@ class _FlattenPlan(ExecutionPlan):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          ("reshape",))
 
-    def run(self, x):
-        return x.reshape(-1, 1, 1)
-
     def run_batch(self, xb):
         return xb.reshape(xb.shape[0], -1, 1, 1)
 
@@ -505,18 +429,13 @@ class _OraclePlan(ExecutionPlan):
     kind = "oracle"
 
     def __init__(self, layer: Layer, in_shape, dtype, step: str,
-                 fn: Callable[[np.ndarray], np.ndarray],
-                 fn_batch: Callable[[np.ndarray], np.ndarray]):
+                 fn: Callable[[np.ndarray], np.ndarray]):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          (step,))
         self._fn = fn
-        self._fn_batch = fn_batch
-
-    def run(self, x):
-        return self._fn(x)
 
     def run_batch(self, xb):
-        return self._fn_batch(xb)
+        return self._fn(xb)
 
 
 # -- compilation --------------------------------------------------------------
@@ -541,19 +460,16 @@ def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
         assert layer.stride is not None
         if layer.op is PoolOp.MAX and np.issubdtype(dtype, np.floating):
             return _MaxPoolPlan(layer, in_shape, dtype)
-        pool = F.max_pool2d if layer.op is PoolOp.MAX else F.avg_pool2d
-        pool_b = F.max_pool2d_batch if layer.op is PoolOp.MAX \
+        pool = F.max_pool2d_batch if layer.op is PoolOp.MAX \
             else F.avg_pool2d_batch
         kernel, stride, pad = layer.kernel, layer.stride, layer.pad
         ceil = layer.ceil_mode
         return _OraclePlan(
             layer, in_shape, dtype, f"oracle-{layer.op.value}-pool",
-            lambda x: pool(x, kernel, stride, pad, ceil_mode=ceil),
-            lambda xb: pool_b(xb, kernel, stride, pad, ceil_mode=ceil))
+            lambda xb: pool(xb, kernel, stride, pad, ceil_mode=ceil))
     if isinstance(layer, ActivationLayer):
         fn = _ACTIVATION_FNS[layer.kind]
-        return _OraclePlan(layer, in_shape, dtype, layer.kind.value,
-                           fn, fn)
+        return _OraclePlan(layer, in_shape, dtype, layer.kind.value, fn)
     if isinstance(layer, FlattenLayer):
         return _FlattenPlan(layer, in_shape, dtype)
     if isinstance(layer, FullyConnectedLayer):
@@ -564,9 +480,9 @@ def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
     if isinstance(layer, SoftmaxLayer):
         if layer.log:
             return _OraclePlan(layer, in_shape, dtype, "log-softmax",
-                               F.log_softmax, F.log_softmax_batch)
+                               F.log_softmax_batch)
         return _OraclePlan(layer, in_shape, dtype, "softmax",
-                           F.softmax, F.softmax_batch)
+                           F.softmax_batch)
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 

@@ -55,8 +55,7 @@ __all__ = [
 #: ``recording()`` stops installing recorders (so ``span()`` takes its
 #: no-op fast path), default-registry metrics stop updating, and the
 #: sampler never starts.  Explicitly constructed private registries
-#: keep working, mirroring how ``REPRO_NO_PLAN_CACHE`` interacts with
-#: explicit constructor arguments.
+#: keep working.
 DISABLE_ENV = "REPRO_NO_OBS"
 
 
@@ -218,17 +217,27 @@ class SpanRecorder:
         return sum(s.seconds for s in self.find(name))
 
     def span_tree(self) -> list[dict[str, Any]]:
-        """The span forest as nested dicts (roots in start order)."""
+        """The span forest as nested dicts (roots in start order).
+
+        One pass over a single snapshot indexes the spans by parent id,
+        so the build is linear in the span count rather than one scan
+        per node.  Siblings keep :meth:`children`'s order: a stable sort
+        by start time over completion order.
+        """
+        kids: dict[int | None, list[Span]] = {}
+        for sp in self._spans_view():
+            kids.setdefault(sp.parent_id, []).append(sp)
+        for siblings in kids.values():
+            siblings.sort(key=lambda s: s.start_perf)
 
         def node(sp: Span) -> dict[str, Any]:
             out = sp.to_dict()
-            kids = self.children(sp)
-            if kids:
-                out["children"] = [node(k) for k in kids]
+            children = kids.get(sp.span_id)
+            if children:
+                out["children"] = [node(k) for k in children]
             return out
 
-        return [node(r) for r in
-                sorted(self.roots(), key=lambda s: s.start_perf)]
+        return [node(r) for r in kids.get(None, [])]
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """All spans flat, in start order (parent_id links the tree)."""

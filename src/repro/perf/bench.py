@@ -1,7 +1,7 @@
 """The ``condor bench`` performance-regression harness.
 
 Times the three hot paths this codebase optimises — the batched
-reference engine, the memoized+parallel design-space explorer, and the
+reference engine, the memoized design-space explorer, and the
 discrete-event simulator — on zoo models, under the telemetry spans, and
 writes the results as ``BENCH_perf.json``::
 
@@ -12,19 +12,22 @@ writes the results as ``BENCH_perf.json``::
 
 Per-op semantics:
 
-* ``engine`` — a batch-32 :meth:`ReferenceEngine.run_batch` against 32
-  single-sample ``forward`` calls.  ``speedup_vs_baseline`` is the
-  single/batched wall-clock ratio; the batched outputs are asserted
-  bit-identical to the per-sample path before any number is reported.
-* ``engine-steady`` — warm-cache execution-plan replay
-  (:mod:`repro.nn.plan`) against the unplanned kernels on the same
-  batch, after a compile pass.  ``speedup_vs_baseline`` is the
-  unplanned/planned ratio, ``cache_hits`` the plan-cache hits of the
-  timed replays; outputs are asserted bit-identical first.
-* ``dse`` — a memoized (and, with ``jobs > 1``, parallel)
-  :func:`repro.dse.explore` against the evaluate-from-scratch baseline
-  (``memoize=False``).  ``cycles`` is the best initiation interval,
-  ``cache_hits`` the evaluation-cache hits of the final (warm) run.
+* ``engine`` — batch amortization on the production (planned) path: a
+  batch-32 :meth:`ReferenceEngine.run_batch` against 32 single-sample
+  :meth:`~ReferenceEngine.forward` calls, both replaying warm plans.
+  ``speedup_vs_baseline`` is the single/batched wall-clock ratio; the
+  batched outputs are asserted bit-identical to the per-sample path
+  before any number is reported.
+* ``engine-steady`` — the plan win per sample: warm-cache planned
+  ``forward`` (:mod:`repro.nn.plan`) against the oracle ``forward``
+  (``use_plans=False``) over the same 32 images, after a compile pass.
+  ``speedup_vs_baseline`` is the oracle/planned ratio, ``cache_hits``
+  the plan-cache hits of the timed replays; outputs are asserted
+  bit-identical first.
+* ``dse`` — the memoized serial :func:`repro.dse.explore` against the
+  evaluate-from-scratch baseline (``memoize=False``).  ``cycles`` is the
+  best initiation interval, ``cache_hits`` the evaluation-cache hits of
+  the final (warm) run.
   Both runs must choose the same mapping or the bench aborts.
 * ``sim`` — :func:`repro.sim.dataflow.simulate_accelerator` on a small
   batch.  ``cycles`` is the simulated total — fully deterministic, so
@@ -143,14 +146,15 @@ def bench_engine(name: str, *, batch: int = ENGINE_BATCH,
                  reps: int = 5, rng_seed: int = 0) -> BenchResult:
     """Batched inference vs ``batch`` single-sample calls.
 
-    Both sides run the unplanned kernels (``use_plans=False``) so this
-    row keeps measuring batch amortization alone; the plan-cache win is
+    Both sides replay plans from a private cache, and both are warmed
+    by the bit-identity check below, so this row measures batch
+    amortization on the production path alone; the plan win itself is
     the separate ``engine-steady`` row.
     """
     with span("bench.engine", model=name, batch=batch):
         model, weights = _build(name)
         net = model.network
-        engine = ReferenceEngine(net, weights, use_plans=False)
+        engine = ReferenceEngine(net, weights, plan_cache=PlanCache())
         rng = np.random.default_rng(rng_seed)
         images = rng.normal(size=(batch,) + net.input_shape().as_tuple()) \
             .astype(np.float32)
@@ -182,39 +186,42 @@ def bench_engine(name: str, *, batch: int = ENGINE_BATCH,
 
 def bench_engine_steady(name: str, *, batch: int = ENGINE_BATCH,
                         reps: int = 5, rng_seed: int = 0) -> BenchResult:
-    """Warm-cache execution-plan replay vs the unplanned kernels.
+    """Warm-cache planned ``forward`` vs the oracle ``forward``, per sample.
 
     The steady-state serving scenario: the same shapes arrive over and
     over, so every layer replays a compiled plan (precomputed gather
-    maps, packed weights, reused scratch — :mod:`repro.nn.plan`).  The
-    first pass compiles and is excluded; ``cache_hits`` reports the plan
-    cache hits accumulated over the timed replays, and outputs are
-    asserted bit-identical to the unplanned path before any number is
-    reported.
+    maps, packed weights, reused scratch — :mod:`repro.nn.plan`) where
+    the oracle re-derives geometry in the single-sample kernels.  Each
+    side runs ``batch`` single-sample calls.  The first pass compiles
+    and is excluded; ``cache_hits`` reports the plan cache hits
+    accumulated over the timed replays, and outputs are asserted
+    bit-identical to the oracle before any number is reported.
     """
     with span("bench.engine_steady", model=name, batch=batch):
         model, weights = _build(name)
         net = model.network
-        unplanned = ReferenceEngine(net, weights, use_plans=False)
-        planned = ReferenceEngine(net, weights, plan_cache=PlanCache(),
-                                  use_plans=True)
+        oracle = ReferenceEngine(net, weights, use_plans=False)
+        planned = ReferenceEngine(net, weights, plan_cache=PlanCache())
         rng = np.random.default_rng(rng_seed)
         images = rng.normal(size=(batch,) + net.input_shape().as_tuple()) \
             .astype(np.float32)
 
-        baseline = unplanned.run_batch(images)
-        warm = planned.run_batch(images)  # compile pass, not timed
+        baseline = np.stack([oracle.forward(im) for im in images])
+        # compile pass, not timed
+        warm = np.stack([planned.forward(im) for im in images])
         if not np.array_equal(baseline, warm):
             raise BenchError(
-                f"planned engine output diverged from the unplanned"
+                f"planned engine output diverged from the oracle"
                 f" path on {name!r} — refusing to report a speedup for"
                 " a wrong answer")
 
         ratios, fast_times = [], []
         with no_recording():
             for _ in range(max(1, reps)):
-                base_s = _best_of(lambda: unplanned.run_batch(images), 1)
-                fast_s = _best_of(lambda: planned.run_batch(images), 1)
+                base_s = _best_of(
+                    lambda: [oracle.forward(im) for im in images], 1)
+                fast_s = _best_of(
+                    lambda: [planned.forward(im) for im in images], 1)
                 ratios.append(base_s / fast_s)
                 fast_times.append(fast_s)
         hits = int(planned.plan_stats()["hits"])
@@ -224,20 +231,20 @@ def bench_engine_steady(name: str, *, batch: int = ENGINE_BATCH,
                        speedup_vs_baseline=float(np.median(ratios)))
 
 
-def bench_dse(name: str, *, jobs: int = 4, reps: int = 9) -> BenchResult:
-    """Memoized+parallel explorer vs the evaluate-from-scratch baseline.
+def bench_dse(name: str, *, reps: int = 9) -> BenchResult:
+    """Memoized explorer vs the evaluate-from-scratch baseline.
 
     Baseline and memoized reps are interleaved and the per-rep ratios
     medianed (the ``bench_engine`` idiom) — the warm explorer finishes
     in ~100us on the small models, so ratioing two independently-taken
     minima is noise-dominated.
     """
-    with span("bench.dse", model=name, jobs=jobs):
+    with span("bench.dse", model=name):
         model, _ = _build(name)
         baseline = explore(model, memoize=False)
 
         cache = EvaluationCache()
-        result = explore(model, jobs=jobs, cache=cache)
+        result = explore(model, cache=cache)
         if result.mapping != baseline.mapping:
             raise BenchError(
                 f"memoized DSE chose a different mapping than the"
@@ -245,7 +252,7 @@ def bench_dse(name: str, *, jobs: int = 4, reps: int = 9) -> BenchResult:
         holder: list = [result]
 
         def run() -> None:
-            holder[0] = explore(model, jobs=jobs, cache=cache)
+            holder[0] = explore(model, cache=cache)
 
         ratios = []
         fast_times = []
@@ -324,8 +331,7 @@ def bench_obs_overhead(name: str, *, batch: int = ENGINE_BATCH,
     """
     model, weights = _build(name)
     net = model.network
-    engine = ReferenceEngine(net, weights, plan_cache=PlanCache(),
-                             use_plans=True)
+    engine = ReferenceEngine(net, weights, plan_cache=PlanCache())
     rng = np.random.default_rng(rng_seed)
     images = rng.normal(size=(batch,) + net.input_shape().as_tuple()) \
         .astype(np.float32)
@@ -487,7 +493,7 @@ def bench_serve(name: str, *, requests: int = 2048,
 
 #: (op, model, kwargs) rows of the two suites.  The quick suite is the
 #: CI gate; the full suite adds the slow rows (VGG-16 DSE carries the
-#: headline cache+parallel speedup) and produces the committed baseline.
+#: headline cache speedup) and produces the committed baseline.
 QUICK_SUITE: tuple[tuple[str, str, dict], ...] = (
     ("engine", "tc1", {}),
     ("engine-steady", "tc1", {}),
@@ -518,7 +524,7 @@ _OPS: dict[str, Callable[..., BenchResult]] = {
 }
 
 
-def run_bench(*, quick: bool = False, jobs: int = 4,
+def run_bench(*, quick: bool = False,
               ops: "set[str] | None" = None,
               progress: Callable[[str], None] | None = None) \
         -> list[BenchResult]:
@@ -534,14 +540,12 @@ def run_bench(*, quick: bool = False, jobs: int = 4,
                              f" known: {sorted(_OPS)}")
     suite = QUICK_SUITE if quick else FULL_SUITE
     results = []
-    with span("bench.suite", quick=quick, jobs=jobs):
+    with span("bench.suite", quick=quick):
         for op, model, kwargs in suite:
             if ops is not None and op not in ops:
                 continue
             if progress is not None:
                 progress(f"bench {op}:{model} ...")
-            if op == "dse":
-                kwargs = {"jobs": jobs, **kwargs}
             results.append(_OPS[op](model, **kwargs))
     return results
 

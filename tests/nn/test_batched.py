@@ -1,9 +1,9 @@
 """The batched engine path must be bit-identical to per-sample inference.
 
-The batched kernels were chosen so each sample's arithmetic dispatches
-the exact same BLAS kernels as the single-sample path (stacked GEMMs,
-never a widened one), so equality here is ``np.array_equal`` — not
-allclose — on every zoo model.
+The execution plans were chosen so each sample's arithmetic dispatches
+the exact same BLAS kernels whatever the batch size (stacked GEMMs,
+never a widened one) and matches the single-sample oracle kernels, so
+equality here is ``np.array_equal`` — not allclose — on every zoo model.
 """
 
 import numpy as np
@@ -45,12 +45,27 @@ def test_forward_batch_and_predict_batch(name, zoo_model, zoo_weights):
         [engine.predict(image) for image in images])
 
 
-def test_batch_of_one_matches_forward(zoo_model, zoo_weights):
-    net = zoo_model("lenet").network
-    engine = ReferenceEngine(net, zoo_weights("lenet"))
-    images = _images(net, 1)
-    assert np.array_equal(engine.run_batch(images)[0],
-                          engine.forward(images[0]))
+def _engine(net, weights, quantized, **kwargs):
+    if quantized:
+        return QuantizedEngine(net, weights, QuantScheme(bits=8), **kwargs)
+    return ReferenceEngine(net, weights, **kwargs)
+
+
+@pytest.mark.parametrize("name,quantized", [
+    ("tc1", False), ("lenet", False), ("cifar10", False), ("vgg16", False),
+    ("tc1", True), ("lenet", True),
+], ids=["tc1", "lenet", "cifar10", "vgg16", "tc1-quant", "lenet-quant"])
+def test_batch_of_one_matches_forward(name, quantized, zoo_model,
+                                      zoo_weights):
+    """The planned path on a batch of one (what ``forward`` runs) equals
+    the oracle's per-sample ``forward`` bit for bit."""
+    net = zoo_model(name).network
+    weights = zoo_weights(name)
+    planned = _engine(net, weights, quantized)
+    oracle = _engine(net, weights, quantized, use_plans=False)
+    image = _images(net, 1)[0]
+    assert np.array_equal(planned.run_batch(image[None])[0],
+                          oracle.forward(image))
 
 
 def test_quantized_engine_batch_matches_per_sample(zoo_model,

@@ -81,6 +81,38 @@ class TestBatch:
             engine.forward_batch(np.zeros((1, 8, 8)))
 
 
+class TestTracing:
+    @pytest.mark.parametrize("use_plans", [True, False],
+                             ids=["planned", "oracle"])
+    @pytest.mark.parametrize("name", ["tc1", "lenet"])
+    def test_traced_run_batch(self, name, use_plans, zoo_model,
+                              zoo_weights):
+        """Under a recorder, ``run_batch`` returns the untraced output
+        bit for bit and emits one ``engine.run_batch`` span with one
+        ``engine.layer`` child per network layer, in layer order."""
+        from repro.nn.plan import PlanCache
+        from repro.obs import recording
+
+        net = zoo_model(name).network
+        engine = ReferenceEngine(net, zoo_weights(name),
+                                 plan_cache=PlanCache(),
+                                 use_plans=use_plans)
+        batch = np.random.default_rng(3).normal(
+            size=(3,) + net.input_shape().as_tuple()).astype(np.float32)
+        plain = engine.run_batch(batch)
+        with recording() as rec:
+            traced = engine.run_batch(batch)
+        assert np.array_equal(traced, plain)
+        (root,) = rec.find("engine.run_batch")
+        assert root.attrs == {"batch": 3, "layers": len(net.layers)}
+        layers = rec.children(root)
+        assert [sp.name for sp in layers] == \
+            ["engine.layer"] * len(net.layers)
+        assert [sp.attrs["layer"] for sp in layers] == \
+            [layer.name for layer in net.layers]
+        assert len(rec.find("engine.layer")) == len(net.layers)
+
+
 class TestActivationsAndPredict:
     def test_activations_keys_and_chaining(self, engine, small_net):
         x = np.random.default_rng(2).normal(size=(1, 8, 8))

@@ -1,5 +1,5 @@
 """The execution-plan cache: bit-identical replay, LRU bounds,
-weight-mutation invalidation, dtype keying, and the escape hatch.
+weight-mutation invalidation and dtype keying.
 
 Every equivalence assertion here is ``np.array_equal`` — plans replay
 the exact arithmetic of the unplanned kernels (gathers are pure data
@@ -16,12 +16,10 @@ from repro.frontend.weights import WeightStore
 from repro.ir.layers import ConvLayer
 from repro.nn.engine import ReferenceEngine
 from repro.nn.plan import (
-    DISABLE_ENV,
     SIZE_ENV,
     PlanCache,
     compile_plan,
     default_plan_cache,
-    plans_disabled,
 )
 from repro.quant.apply import QuantizedEngine
 from repro.quant.scheme import QuantScheme
@@ -37,8 +35,7 @@ def _images(net, batch, seed=0):
 
 def _engines(net, weights):
     """A planned engine (private cache) and the unplanned oracle."""
-    planned = ReferenceEngine(net, weights, plan_cache=PlanCache(),
-                              use_plans=True)
+    planned = ReferenceEngine(net, weights, plan_cache=PlanCache())
     oracle = ReferenceEngine(net, weights, use_plans=False)
     return planned, oracle
 
@@ -87,7 +84,7 @@ def test_run_and_predict_share_batched_path(zoo_model, zoo_weights):
     planned, oracle = _engines(net, zoo_weights("lenet"))
     image = _images(net, 1, seed=3)[0]
     expected = oracle.forward(image)
-    assert np.array_equal(planned.run(image), expected)
+    assert np.array_equal(planned.run_batch(image[None])[0], expected)
     assert planned.predict(image) == int(np.argmax(expected))
 
 
@@ -98,7 +95,7 @@ def test_quantized_engine_planned_parity(zoo_model, zoo_weights):
     net = zoo_model("tc1").network
     scheme = QuantScheme(bits=8)
     planned = QuantizedEngine(net, zoo_weights("tc1"), scheme,
-                              plan_cache=PlanCache(), use_plans=True)
+                              plan_cache=PlanCache())
     oracle = QuantizedEngine(net, zoo_weights("tc1"), scheme,
                              use_plans=False)
     images = _images(net, 4, seed=4)
@@ -202,12 +199,13 @@ def test_weight_mutation_invalidates():
     cache = PlanCache(capacity=8)
     x = np.random.default_rng(6).normal(size=in_shape) \
         .astype(np.float32)
-    before = cache.lookup(layer, in_shape, store).run(x).copy()
+    before = cache.lookup(layer, in_shape, store).run_batch(x[None])[0] \
+        .copy()
     store.set("conv", "weights",
               2.0 * store.get("conv", "weights"))
     replanned = cache.lookup(layer, in_shape, store)
     assert cache.stats()["misses"] == 2  # version bump forced a recompile
-    after = replanned.run(x)
+    after = replanned.run_batch(x[None])[0]
     expected = F.conv2d(x, store.get("conv", "weights"),
                         store.get("conv", "bias"))
     assert np.array_equal(after, expected)
@@ -239,9 +237,9 @@ def test_dtype_keys_separate_plans():
     assert p32 is not p64
     assert len(cache) == 2
     x = np.random.default_rng(8).normal(size=in_shape)
-    out64 = p64.run(x.astype(np.float64))
+    out64 = p64.run_batch(x[None].astype(np.float64))
     assert out64.dtype == np.float64
-    out32 = p32.run(x.astype(np.float32))
+    out32 = p32.run_batch(x[None].astype(np.float32))
     assert out32.dtype == np.float32
 
 
@@ -273,8 +271,7 @@ def test_invalidate_by_store_and_layer():
 def test_engine_invalidate_plans(zoo_model, zoo_weights):
     net = zoo_model("tc1").network
     cache = PlanCache()
-    engine = ReferenceEngine(net, zoo_weights("tc1"), plan_cache=cache,
-                             use_plans=True)
+    engine = ReferenceEngine(net, zoo_weights("tc1"), plan_cache=cache)
     engine.forward(_images(net, 1, seed=9)[0])
     assert len(cache) > 0
     dropped = engine.invalidate_plans()
@@ -292,42 +289,13 @@ def test_capacity_env_and_validation(monkeypatch):
         PlanCache(capacity=0)
 
 
-# -- the escape hatch ---------------------------------------------------------
-
-
-def test_no_plan_cache_env_parity(monkeypatch, zoo_model, zoo_weights):
-    net = zoo_model("lenet").network
-    weights = zoo_weights("lenet")
-    images = _images(net, 2, seed=10)
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    assert plans_disabled()
-    disabled = ReferenceEngine(net, weights, plan_cache=PlanCache())
-    assert not disabled.plans_active()
-    expected = disabled.run_batch(images)
-    assert len(disabled.plan_cache) == 0  # nothing was compiled
-    monkeypatch.delenv(DISABLE_ENV)
-    planned = ReferenceEngine(net, weights, plan_cache=PlanCache())
-    assert planned.plans_active()
-    assert np.array_equal(planned.run_batch(images), expected)
-
-
-def test_use_plans_overrides_env(monkeypatch, zoo_model, zoo_weights):
-    net = zoo_model("tc1").network
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    forced = ReferenceEngine(net, zoo_weights("tc1"),
-                             plan_cache=PlanCache(), use_plans=True)
-    assert forced.plans_active()
-    forced.forward(_images(net, 1)[0])
-    assert len(forced.plan_cache) > 0
-
-
 # -- stats & defaults ---------------------------------------------------------
 
 
 def test_plan_stats_shape(zoo_model, zoo_weights):
     net = zoo_model("tc1").network
     engine = ReferenceEngine(net, zoo_weights("tc1"),
-                             plan_cache=PlanCache(), use_plans=True)
+                             plan_cache=PlanCache())
     images = _images(net, 2, seed=11)
     engine.run_batch(images)
     engine.run_batch(images)

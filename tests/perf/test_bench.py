@@ -40,7 +40,7 @@ class TestOps:
         assert result.cycles is None and result.cache_hits is None
 
     def test_dse_reports_cycles_and_hits(self):
-        result = bench_dse("tc1", jobs=2, reps=1)
+        result = bench_dse("tc1", reps=1)
         assert (result.op, result.model) == ("dse", "tc1")
         assert result.cycles > 0
         assert result.cache_hits > 0  # the warm rerun hits the cache
@@ -124,12 +124,12 @@ def test_run_bench_quick(monkeypatch):
     for op in ("engine", "engine-steady", "dse", "sim", "serve",
                "obs-overhead", "tsan-overhead"):
         monkeypatch.setitem(bench_mod._OPS, op, fake(op))
-    results = run_bench(quick=True, jobs=3)
+    results = run_bench(quick=True)
     assert [(r.op, r.model) for r in results] == \
         [(op, model) for op, model, _ in QUICK_SUITE]
-    # --jobs reaches every dse row
-    assert all(kwargs["jobs"] == 3 for op, _, kwargs in calls
-               if op == "dse")
+    # each op sees exactly its suite row's kwargs
+    assert [kwargs for _, _, kwargs in calls] == \
+        [kwargs for _, _, kwargs in QUICK_SUITE]
 
 
 def test_run_bench_op_filter(monkeypatch):

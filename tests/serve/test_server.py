@@ -180,3 +180,34 @@ class TestRealFleetServing:
         assert stats["completed"] == 11
         assert stats["batches"] == {4: 1, 8: 1}
         assert stats["triggers"] == {"size": 1, "slo": 1}
+
+
+class TestRecordedSession:
+    def test_span_tree_matches_children_walk(self, image, weights,
+                                             server_name):
+        """The one-pass ``span_tree`` index nests a recorded serve
+        session exactly as walking ``children()`` per node does."""
+        import json
+
+        from repro.obs import recording
+
+        def walk(rec):
+            def node(sp):
+                out = sp.to_dict()
+                kids = rec.children(sp)
+                if kids:
+                    out["children"] = [node(k) for k in kids]
+                return out
+            return [node(r) for r in
+                    sorted(rec.roots(), key=lambda s: s.start_perf)]
+
+        with recording() as rec:
+            fleet = make_fleet(image, weights, clock=VirtualClock())
+            server = make_server(fleet, server_name, slo_s=0.010)
+            pool = images_for(fleet, np.random.default_rng(19), 11)
+            requests = [server.submit("alpha", pool[i], now=0.001 * i)
+                        for i in range(11)]
+            server.pump(1.0)
+        assert all(r.ok for r in requests)
+        assert rec.find("engine.layer")  # the tree reaches the engine
+        assert json.dumps(rec.span_tree()) == json.dumps(walk(rec))
