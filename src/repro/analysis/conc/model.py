@@ -351,9 +351,6 @@ class ProgramModel:
 
     # -- lock closures + graph ----------------------------------------------
 
-    def lock_closure(self, fn: FunctionInfo) -> frozenset[str]:
-        return self._closures.get(fn.qualname, frozenset())
-
     def _compute_closures(self) -> None:
         closures = {q: frozenset(name for name, _, _ in fn.acquires)
                     for q, fn in self.functions.items()}

@@ -220,60 +220,10 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _chaos_fleet_exercise(flow, result, seed: int) -> dict:
-    """Serve a short fleet workload under the armed fault plan.
-
-    Runs inside the chaos ``inject_faults`` context after a flow run
-    produced an AFI: one f1.4xlarge is launched from the flow's AWS
-    session and a paced workload (plus a final verified submission)
-    exercises the device-level fault kinds end to end.
-    """
-    import numpy as np
-
-    from repro.errors import FleetError
-    from repro.fleet import FleetConfig, FleetManager
-    from repro.frontend.weights import WeightStore
-    from repro.resilience.clock import VirtualClock
-
-    clock = VirtualClock()
-    instance = flow.aws.run_f1_instance("f1.4xlarge")
-    net = result.model.network
-    weights = WeightStore.initialize(net)
-    config = FleetConfig(scrub_every=2, recovery_s=120.0, capacity=4)
-    fleet = FleetManager([instance], result.agfi_id, weights,
-                         config=config, clock=clock)
-    rng = np.random.default_rng(seed * 7919 + 3)
-    in_shape = net.input_shape().as_tuple()
-    errors = 0
-    for _ in range(6):
-        images = rng.standard_normal((2,) + in_shape).astype(np.float32)
-        try:
-            fleet.run(images)
-        except FleetError:
-            errors += 1
-        clock.sleep(30.0)
-    clock.sleep(config.recovery_s)
-    final = rng.standard_normal((2,) + in_shape).astype(np.float32)
-    golden = fleet.golden.forward_batch(final).reshape(2, -1)
-    try:
-        bit_correct = bool(np.array_equal(
-            fleet.run(final, verify=True), golden))
-    except FleetError:
-        bit_correct = False
-    stats = fleet.stats()
-    return {
-        "bit_correct": bit_correct,
-        "errors": errors,
-        "healthy_slots": stats["healthy_slots"],
-        "quarantined": stats["quarantined"],
-        "actions": stats["actions"],
-    }
-
-
 def cmd_chaos(args) -> int:
     """Chaos-test the flow: seeded fault plans over the cloud/toolchain
-    boundaries — and, unless ``--no-devices``, over the FPGA slots of a
-    post-build fleet exercise — reporting survival statistics."""
+    boundaries of the build path, reporting survival statistics.
+    Device faults under load are the fleet drill's job."""
     import json
     import shutil
 
@@ -298,26 +248,19 @@ def cmd_chaos(args) -> int:
                             deployment=DeploymentOption.AWS_F1,
                             hints=model.hints)
         for seed in range(args.seeds):
-            include_devices = not args.no_devices
-            plan = FaultPlan.random(seed,
-                                    include_devices=include_devices)
+            plan = FaultPlan.random(seed)
             workdir = base / f"{model.network.name}-seed{seed}"
             if workdir.exists():
                 shutil.rmtree(workdir)
             flow = CondorFlow(workdir)
-            status, error, fleet = "ok", None, None
+            status, error = "ok", None
             try:
                 with inject_faults(plan):
                     result = flow.run(FlowInputs(model=model))
-                    if include_devices and result.agfi_id:
-                        fleet = _chaos_fleet_exercise(flow, result, seed)
                 if result.degraded:
                     status, error = "partial", result.degradation
             except CondorError as exc:
                 status, error = "error", f"{type(exc).__name__}: {exc}"
-            if fleet is not None and not fleet["bit_correct"]:
-                status = "error"
-                error = "fleet exercise outputs diverged from golden"
             stats = flow.boundary_stats
             runs.append({
                 "network": model.network.name,
@@ -325,7 +268,6 @@ def cmd_chaos(args) -> int:
                 "status": status,
                 "error": error,
                 "faults": plan.stats(),
-                "fleet": fleet,
                 "resilience": stats.to_dict() if stats else {},
             })
 
@@ -346,21 +288,12 @@ def cmd_chaos(args) -> int:
     else:
         from repro.util.tables import TextTable
         table = TextTable(["network", "seed", "status", "faults",
-                           "retries", "fleet", "detail"])
+                           "retries", "detail"])
         for r in runs:
-            fleet = r["fleet"]
-            if fleet is None:
-                fleet_note = "-"
-            elif fleet["bit_correct"]:
-                fleet_note = "ok" if not fleet["quarantined"] \
-                    else "degraded"
-            else:
-                fleet_note = "FAIL"
             table.add_row([
                 r["network"], r["seed"], r["status"],
                 r["faults"]["injected_total"],
                 sum(r["resilience"].get("retries", {}).values()),
-                fleet_note,
                 r["error"] or "",
             ])
         print(table.render())
@@ -380,7 +313,8 @@ def cmd_fleet_drill(args) -> int:
 
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip()) \
         if args.kinds else None
-    report = run_drill(seeds=tuple(range(args.seeds)), kinds=kinds)
+    report = run_drill(Path(args.workdir) / "drill",
+                       seeds=tuple(range(args.seeds)), kinds=kinds)
     if args.json_out:
         path = Path(args.json_out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -390,12 +324,13 @@ def cmd_fleet_drill(args) -> int:
         print(_json.dumps(report, indent=2))
     else:
         from repro.util.tables import TextTable
-        table = TextTable(["kind", "seed", "status", "expected",
-                           "bit-correct", "faults", "recovery actions",
-                           "quarantined"])
+        table = TextTable(["model", "kind", "seed", "status",
+                           "expected", "bit-correct", "faults",
+                           "recovery actions", "quarantined"])
         for cell in report["cells"]:
             table.add_row([
-                cell["kind"], cell["seed"], cell["status"],
+                cell["model"], cell["kind"], cell["seed"],
+                cell["status"],
                 cell["expected"],
                 "yes" if cell["bit_correct"] else "NO",
                 cell["injected_total"],
@@ -473,9 +408,12 @@ def cmd_serve(args) -> int:
         raise CondorError(f"bad --buckets {args.buckets!r}: {exc}") \
             from None
     clock = VirtualClock()
+    workdir = Path(args.workdir)
     with recording() as recorder:
-        fleet, service = build_serving_fleet(
-            args.model, instances=args.instances,
+        # the flow's artifacts (and its own telemetry.json) live one
+        # level down, so the serve manifest below cannot clobber them
+        fleet, aws = build_serving_fleet(
+            workdir / "build", args.model, instances=args.instances,
             instance_type=args.instance_type, clock=clock)
         server = InferenceServer(
             fleet, tenants,
@@ -487,7 +425,7 @@ def cmd_serve(args) -> int:
         autoscaler = None
         if args.autoscale:
             def launch() -> F1Instance:
-                return F1Instance(args.instance_type, service)
+                return aws.run_f1_instance(args.instance_type)
             autoscaler = Autoscaler(
                 server, launch,
                 config=AutoscalerConfig(
@@ -496,8 +434,6 @@ def cmd_serve(args) -> int:
                         seed=args.seed, tenants=tenants)
         report = run_load(server, spec, autoscaler=autoscaler)
     doc = report.to_dict()
-    workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     manifest = build_manifest(
         recorder=recorder, workdir=workdir,
         run={"command": "serve", "network": args.model,
@@ -651,7 +587,8 @@ def cmd_bench(args) -> int:
     with recording() as recorder:
         results = run_bench(quick=args.quick, ops=ops,
                             progress=lambda msg: print(msg,
-                                                       file=sys.stderr))
+                                                       file=sys.stderr),
+                            workdir=args.workdir)
 
     violations = []
     notes: list[str] = []
@@ -940,9 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seeds", type=int, default=3, metavar="N",
                        help="fault plans per model (seeds 0..N-1,"
                             " default 3)")
-    chaos.add_argument("--no-devices", action="store_true",
-                       help="skip the device-level fault kinds and the"
-                            " post-build fleet exercise")
     chaos.add_argument("--format", choices=["text", "json"],
                        default="text")
     chaos.set_defaults(func=cmd_chaos)
@@ -952,15 +886,15 @@ def build_parser() -> argparse.ArgumentParser:
                       " watchdogs, scrubbing, quarantine, failover")
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
     drill = fleet_sub.add_parser(
-        "drill", help="seeded survival matrix: device fault kind x"
-                      " recovery action x result correctness")
+        "drill", help="seeded survival matrix: model x device fault"
+                      " kind x recovery action x result correctness")
     drill.add_argument("--seeds", type=int, default=2, metavar="N",
                        help="drill every fault kind with seeds 0..N-1"
                             " (default 2)")
     drill.add_argument("--kinds", metavar="K1,K2",
                        help="comma-separated fault kinds (default: all;"
                             " seu-bitflip, kernel-hang, slow-device,"
-                            " slot-crash, instance-loss)")
+                            " slot-crash, mixed, instance-loss)")
     drill.add_argument("--json-out", metavar="PATH",
                        help="also write the full JSON report here")
     drill.add_argument("--format", choices=["text", "json"],

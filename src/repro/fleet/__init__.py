@@ -13,17 +13,16 @@ execution fleet:
   results and weight-buffer digests, automatic AFI re-load on recovery,
   and failover of in-flight work to healthy slots;
 * :mod:`repro.fleet.drill` — the seeded survival drill behind
-  ``condor fleet drill``: a fault-kind × recovery-action matrix over
-  the device-level chaos kinds.
+  ``condor fleet drill``: a model × fault-kind × recovery-action
+  matrix over the device-level fault kinds, the repo's one
+  fault-under-load harness;
+* :mod:`repro.fleet.image` — the servable zoo models, each built into
+  an AFI by the Condor flow.
 """
 
 from repro.fleet.drill import DRILL_KINDS, RECOVERABLE_KINDS, run_drill
 from repro.fleet.health import ManagedSlot, SlotState
-from repro.fleet.image import (
-    SERVABLE_MODELS,
-    build_fleet_image,
-    servable_model,
-)
+from repro.fleet.image import SERVABLE_MODELS, servable_model
 from repro.fleet.manager import FleetConfig, FleetManager, Submission
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "SERVABLE_MODELS",
     "SlotState",
     "Submission",
-    "build_fleet_image",
     "run_drill",
     "servable_model",
 ]

@@ -1,37 +1,42 @@
 """The fleet survival drill behind ``condor fleet drill``.
 
-A drill builds one real tc1 AFI (through the simulated toolchain + S3 +
-AFI service, exactly like the flow does), then runs a seeded
-fault-kind × recovery-action × result-correctness matrix: for each
-(fault kind, seed) cell a fresh two-instance fleet serves a paced
-workload while that kind's device faults fire, recovery windows elapse
-on a per-cell virtual clock, and a final *verified* submission is
-compared bit-exactly against the reference engine.
+The repo's one fault-under-load harness.  For every servable zoo model
+(tc1, lenet, cifar10) the drill builds a real AFI through the Condor
+flow (``CondorFlow.run``, the same pipeline ``condor build`` runs),
+then runs a seeded model × fault-kind × recovery-action ×
+result-correctness matrix: for each (fault kind, seed) cell a fresh
+two-instance fleet, launched from the flow's AWS session, serves a
+paced workload while that kind's device faults fire, recovery windows
+elapse on a per-cell virtual clock, and a final *verified* submission
+is compared bit-exactly against the reference engine.
 
 Expectations encoded in the report:
 
 * every **recoverable** kind (``seu-bitflip``, ``kernel-hang``,
-  ``slow-device``, ``slot-crash``) ends ``ok`` — no quarantined slots
-  remain and the final outputs are bit-correct;
+  ``slow-device``, ``slot-crash`` and ``mixed`` — seeded combined
+  weather of all four, see :func:`mixed_weather`) ends ``ok`` — no
+  quarantined slots remain and the final outputs are bit-correct;
 * **instance-loss** (a permanent whole-instance fault) ends
   ``degraded`` — the dead instance's slots stay quarantined, work
   survives on the sibling instance, nothing hangs.
 
 Reports are deterministic per seed: slots are labeled by fleet ordinal
-(``i0.slot1``), never by raw instance id, and only kind-level injection
-tallies are included.
+(``i0.slot1``), never by raw instance id, only kind-level injection
+tallies are included, and every cell names its model.
 """
 
 from __future__ import annotations
 
+import random
+import zlib
+from pathlib import Path
+
 import numpy as np
 
-from repro.cloud.afi import AFIService
+from repro.cloud.client import AWSSession
 from repro.cloud.f1 import F1Instance
 from repro.errors import FleetError
-from repro.frontend.condor_format import DeploymentOption, model_from_json
-from repro.frontend.weights import WeightStore
-from repro.frontend.zoo import tc1_model
+from repro.flow.condor import CondorFlow, FlowInputs, FlowResult
 from repro.resilience.boundary import breaker_states, inject_faults
 from repro.resilience.clock import VirtualClock
 from repro.resilience.faults import (
@@ -40,13 +45,13 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.toolchain.xclbin import read_xclbin
 from repro.util.logging import get_logger
 
-from repro.fleet.image import build_fleet_image
+from repro.fleet.image import SERVABLE_MODELS, servable_model
 from repro.fleet.manager import FleetConfig, FleetManager
 
-__all__ = ["DRILL_KINDS", "RECOVERABLE_KINDS", "run_drill"]
+__all__ = ["DRILL_KINDS", "RECOVERABLE_KINDS", "mixed_weather",
+           "run_drill"]
 
 _log = get_logger("fleet.drill")
 
@@ -56,6 +61,7 @@ RECOVERABLE_KINDS: tuple[str, ...] = (
     FaultKind.KERNEL_HANG.value,  # kernel-hang
     FaultKind.SLOW_DEVICE.value,  # slow-device
     FaultKind.SLOT_CRASH.value,   # slot-crash
+    "mixed",                      # all four, seeded per cell
 )
 
 #: All drilled kinds; ``instance-loss`` must degrade gracefully.
@@ -73,17 +79,34 @@ WORKLOAD_BATCH = 2
 WORKLOAD_PACE_S = 30.0
 
 
-def build_drill_image() -> tuple[AFIService, str, bytes]:
-    """Build the tc1 AWS-F1 xclbin and register it as an available AFI.
+def mixed_weather(seed: int) -> list[FaultSpec]:
+    """Seeded combined device weather over every slot (``device.*``).
 
-    Returns ``(afi_service, agfi_id, xclbin_bytes)``; every drill cell
-    launches fresh instances against this shared service.
+    Each recoverable kind is drawn independently: SEU bit-flips (p=0.5),
+    hangs of 300-900 s that trip the watchdog (p=0.35), one or two
+    sub-watchdog slowdowns of 15-50 s (p=0.5) and slot crashes
+    (p=0.35) — never a permanent loss, so a healthy fleet must always
+    fully recover.  A seed may draw no weather at all.
     """
-    return build_fleet_image(tc1_model(DeploymentOption.AWS_F1),
-                             name="fleet-drill-tc1")
+    rng = random.Random(seed * 0x1_0000_0000 + zlib.crc32(b"drill-mixed"))
+    specs: list[FaultSpec] = []
+    if rng.random() < 0.5:
+        specs.append(FaultSpec(DEVICE_PATTERN, FaultKind.BITFLIP))
+    if rng.random() < 0.35:
+        specs.append(FaultSpec(
+            DEVICE_PATTERN, FaultKind.KERNEL_HANG,
+            delay_s=round(rng.uniform(300.0, 900.0), 1)))
+    if rng.random() < 0.5:
+        specs.append(FaultSpec(
+            DEVICE_PATTERN, FaultKind.SLOW_DEVICE,
+            times=rng.randint(1, 2),
+            delay_s=round(rng.uniform(15.0, 50.0), 1)))
+    if rng.random() < 0.35:
+        specs.append(FaultSpec(DEVICE_PATTERN, FaultKind.SLOT_CRASH))
+    return specs
 
 
-def _specs_for(kind: str, instances: list[F1Instance]) \
+def _specs_for(kind: str, seed: int, instances: list[F1Instance]) \
         -> list[FaultSpec]:
     """The seeded fault specs one drill cell arms."""
     if kind == FaultKind.BITFLIP.value:
@@ -97,6 +120,8 @@ def _specs_for(kind: str, instances: list[F1Instance]) \
                           times=2, delay_s=45.0)]
     if kind == FaultKind.SLOT_CRASH.value:
         return [FaultSpec(DEVICE_PATTERN, FaultKind.SLOT_CRASH)]
+    if kind == "mixed":
+        return mixed_weather(seed)
     if kind == "instance-loss":
         # every slot of the first instance dies on every launch —
         # AFI re-loads revive the card only until the next kernel
@@ -106,18 +131,18 @@ def _specs_for(kind: str, instances: list[F1Instance]) \
                      f" {list(DRILL_KINDS)}")
 
 
-def _run_cell(kind: str, seed: int, service: AFIService, agfi_id: str,
-              net, weights) -> dict:
-    """One (fault kind, seed) drill cell on a fresh two-instance fleet."""
+def _run_cell(name: str, kind: str, seed: int, aws: AWSSession,
+              build: FlowResult) -> dict:
+    """One (model, fault kind, seed) drill cell on a fresh two-instance
+    fleet launched from the flow's AWS session."""
     clock = VirtualClock()
-    instances = [F1Instance("f1.4xlarge", service),
-                 F1Instance("f1.4xlarge", service)]
-    plan = FaultPlan(_specs_for(kind, instances), seed=seed)
+    instances = [aws.run_f1_instance("f1.4xlarge") for _ in range(2)]
+    plan = FaultPlan(_specs_for(kind, seed, instances), seed=seed)
     rng = np.random.default_rng(seed * 977 + 11)
-    in_shape = net.input_shape().as_tuple()
+    in_shape = build.model.network.input_shape().as_tuple()
     workload_errors = 0
     with inject_faults(plan):
-        fleet = FleetManager(instances, agfi_id, weights,
+        fleet = FleetManager(instances, build.agfi_id, build.weights,
                              config=DRILL_CONFIG, clock=clock)
         for _ in range(WORKLOAD_STEPS):
             images = rng.standard_normal(
@@ -163,6 +188,7 @@ def _run_cell(kind: str, seed: int, service: AFIService, agfi_id: str,
         injected_by_kind[fault_kind] = \
             injected_by_kind.get(fault_kind, 0) + count
     return {
+        "model": name,
         "kind": kind,
         "seed": seed,
         "recoverable": kind in RECOVERABLE_KINDS,
@@ -186,29 +212,32 @@ def _run_cell(kind: str, seed: int, service: AFIService, agfi_id: str,
     }
 
 
-def run_drill(seeds=(0,), kinds: tuple[str, ...] | None = None) -> dict:
-    """The full survival matrix: ``kinds`` × ``seeds``.
+def run_drill(workdir: Path | str, seeds=(0,),
+              kinds: tuple[str, ...] | None = None) -> dict:
+    """The full survival matrix: servable models × ``kinds`` × ``seeds``.
 
-    Deterministic per (kinds, seeds): rerunning yields an identical
-    report.
+    Each model's AFI is built by a Condor flow run in
+    ``workdir/<model>``.  Deterministic per (kinds, seeds): rerunning
+    yields an identical report.
     """
     kinds = tuple(kinds) if kinds else DRILL_KINDS
     for kind in kinds:
         if kind not in DRILL_KINDS:
             raise FleetError(f"unknown drill fault kind {kind!r};"
                              f" known: {list(DRILL_KINDS)}")
-    service, agfi_id, xclbin_bytes = build_drill_image()
-    net = model_from_json(read_xclbin(xclbin_bytes).network_json).network
-    weights = WeightStore.initialize(net, seed=0)
     cells = []
-    for seed in seeds:
-        for kind in kinds:
-            _log.info("drill cell: kind=%s seed=%d", kind, seed)
-            cells.append(_run_cell(kind, seed, service, agfi_id, net,
-                                   weights))
+    for name in SERVABLE_MODELS:
+        flow = CondorFlow(Path(workdir) / name)
+        build = flow.run(FlowInputs(model=servable_model(name)))
+        for seed in seeds:
+            for kind in kinds:
+                _log.info("drill cell: model=%s kind=%s seed=%d", name,
+                          kind, seed)
+                cells.append(_run_cell(name, kind, seed, flow.aws,
+                                       build))
     recoverable = [c for c in cells if c["recoverable"]]
     return {
-        "model": "tc1",
+        "models": list(SERVABLE_MODELS),
         "seeds": [int(s) for s in seeds],
         "kinds": list(kinds),
         "cells": cells,

@@ -1,32 +1,22 @@
-"""Build a deployable AFI for a zoo model — shared fleet plumbing.
+"""The zoo models a fleet can serve.
 
-Both the survival drill and the serving layer need the same prologue:
-push a model through the simulated toolchain (HLS → network IP → xo →
-xclbin), park the bitstream in S3, register it with the AFI service and
-wait until it is available — exactly the paper's steps 5-8.  This
-module is that prologue, factored out so every fleet consumer builds
-images one way.
+Fleet consumers — ``condor serve``, the survival drill, the ``serve``
+bench row — get their AFI from the one Condor pipeline, the paper's
+steps 1-8: ``CondorFlow(workdir).run(FlowInputs(model=
+servable_model(name)))``.  The run's ``agfi_id`` and ``weights`` feed
+:class:`~repro.fleet.manager.FleetManager`, and instances launch from
+the flow's AWS session (``flow.aws.run_f1_instance``).  This module
+names the models that fit one F1 slot and gives each its AWS-F1
+deployment intent.
 """
 
 from __future__ import annotations
 
-from repro.cloud.afi import AFIService
-from repro.cloud.s3 import S3Store
 from repro.errors import FleetError
 from repro.frontend.condor_format import DeploymentOption
 from repro.frontend.zoo import cifar10_model, lenet_model, tc1_model
-from repro.hw.accelerator import build_accelerator
-from repro.hw.resources import device_for_board
-from repro.toolchain.assemble import build_network_ip
-from repro.toolchain.hls import VivadoHLS
-from repro.toolchain.sdaccel import (
-    generate_kernel_xml,
-    package_xo,
-    xocc_link,
-)
-from repro.toolchain.xclbin import write_xclbin
 
-__all__ = ["SERVABLE_MODELS", "build_fleet_image", "servable_model"]
+__all__ = ["SERVABLE_MODELS", "servable_model"]
 
 #: Zoo models small enough to deploy on one F1 slot (VGG-16 is not).
 SERVABLE_MODELS = {
@@ -45,33 +35,3 @@ def servable_model(name: str):
             f"model {name!r} is not servable on the fleet; known:"
             f" {sorted(SERVABLE_MODELS)}") from None
     return builder(DeploymentOption.AWS_F1)
-
-
-def build_fleet_image(model, *, name: str = "fleet") \
-        -> tuple[AFIService, str, bytes]:
-    """Build ``model``'s AWS-F1 xclbin and register it as an AFI.
-
-    Returns ``(afi_service, agfi_id, xclbin_bytes)``; callers launch
-    F1 instances against the returned service and hand the agfi to
-    :class:`~repro.fleet.manager.FleetManager`.
-    """
-    acc = build_accelerator(model)
-    hls = VivadoHLS("xcvu9p", model.frequency_hz)
-    assembly = build_network_ip(acc, hls)
-    xo = package_xo(assembly.accelerator_ip,
-                    generate_kernel_xml(assembly.accelerator_ip),
-                    model=model)
-    xclbin_bytes = write_xclbin(
-        xocc_link(xo, device_for_board("aws-f1-xcvu9p"),
-                  model.frequency_hz))
-    s3 = S3Store()
-    bucket = f"{name}-images"
-    s3.create_bucket(bucket)
-    key = f"dcp/{name}.xclbin"
-    s3.put_object(bucket, key, xclbin_bytes)
-    service = AFIService(s3)
-    record = service.create_fpga_image(
-        name=f"{name}-afi",
-        input_storage_location=f"s3://{bucket}/{key}")
-    service.wait_until_available(record.afi_id)
-    return service, record.agfi_id, xclbin_bytes

@@ -72,7 +72,6 @@ from repro.obs import (
     REGISTRY,
     SpanRecorder,
     TelemetrySampler,
-    append_ledger,
     build_manifest,
     recording,
     span,
@@ -414,7 +413,6 @@ class CondorFlow:
                 started_wall=started_wall,
                 seconds=time.perf_counter() - t0)
             path = write_manifest(self.workdir, manifest)
-            append_ledger(manifest)
             if result is not None:
                 result.telemetry_path = path
 

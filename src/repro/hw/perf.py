@@ -174,11 +174,6 @@ def ddr_bytes_per_image(acc: Accelerator) -> int:
     return math.ceil(total)
 
 
-def ddr_words_per_image(acc: Accelerator) -> int:
-    """Backwards-compatible word count (32-bit equivalents)."""
-    return math.ceil(ddr_bytes_per_image(acc) / 4)
-
-
 def estimate_performance(acc: Accelerator,
                          cal: Calibration = DEFAULT_CALIBRATION,
                          *, pe_cache: dict | None = None) \

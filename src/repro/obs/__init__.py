@@ -18,8 +18,7 @@ front door for that:
 * :mod:`repro.obs.sampler` — a background :class:`TelemetrySampler`
   flushing periodic registry snapshots to ``timeseries.jsonl``;
 * :mod:`repro.obs.manifest` — the per-run ``telemetry.json`` written by
-  :class:`~repro.flow.condor.CondorFlow`, plus the opt-in
-  ``benchmarks/runs.jsonl`` ledger;
+  :class:`~repro.flow.condor.CondorFlow` and by ``condor serve``;
 * :mod:`repro.obs.analyze` — offline reports/diffs over those
   artifacts (the ``condor obs`` subcommand);
 * :mod:`repro.obs.chrometrace` — trace-event JSON for
@@ -44,10 +43,8 @@ from repro.obs.chrometrace import (
 )
 from repro.obs.manifest import (
     MANIFEST_NAME,
-    append_ledger,
     build_manifest,
     git_sha,
-    ledger_enabled,
     peak_rss_bytes,
     write_manifest,
 )
@@ -86,14 +83,12 @@ __all__ = [
     "SpanRecorder",
     "Summary",
     "TelemetrySampler",
-    "append_ledger",
     "build_manifest",
     "chrome_trace",
     "current_recorder",
     "current_span",
     "diff_manifests",
     "git_sha",
-    "ledger_enabled",
     "no_recording",
     "obs_disabled",
     "peak_rss_bytes",

@@ -239,11 +239,6 @@ class SpanRecorder:
 
         return [node(r) for r in kids.get(None, [])]
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """All spans flat, in start order (parent_id links the tree)."""
-        return [s.to_dict() for s in
-                sorted(self._spans_view(), key=lambda s: s.start_perf)]
-
     def sketch(self, name: str) -> QuantileSketch | None:
         """The streaming duration sketch for one span name."""
         with self._lock:

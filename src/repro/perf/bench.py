@@ -409,15 +409,16 @@ def bench_tsan_overhead(name: str, *, iters: int = 20_000,
                        speedup_vs_baseline=float(np.median(ratios)))
 
 
-def bench_serve(name: str, *, requests: int = 2048,
-                rate_rps: float = 100_000.0,
+def bench_serve(name: str, *, workdir: Path | str,
+                requests: int = 2048, rate_rps: float = 100_000.0,
                 seed: int = 0) -> BenchResult:
     """Dynamic batching vs the batch-size-1 serving path.
 
-    Builds one AFI, then serves the *same* seeded workload twice on
-    fresh single-slot fleets over fresh virtual clocks: once with the
-    full bucket ladder (requests coalesce into padded batches), once
-    with ``buckets=(1,)`` (every request is its own fleet submission).
+    Builds one AFI with a Condor flow run in ``workdir``, then serves
+    the *same* seeded workload twice on fresh single-slot fleets over
+    fresh virtual clocks: once with the full bucket ladder (requests
+    coalesce into padded batches), once with ``buckets=(1,)`` (every
+    request is its own fleet submission).
     The offered rate saturates the slot, so both runs are
     service-limited and ``speedup_vs_baseline`` — the single/batched
     *virtual makespan* ratio — is exactly the throughput multiple that
@@ -426,14 +427,8 @@ def bench_serve(name: str, *, requests: int = 2048,
     per-request outputs are asserted bit-identical across the two runs
     before any number is reported.
     """
-    from repro.cloud.f1 import F1Instance
-    from repro.fleet import (
-        FleetConfig,
-        FleetManager,
-        build_fleet_image,
-        servable_model,
-    )
-    from repro.frontend.condor_format import model_from_json
+    from repro.fleet import FleetConfig, FleetManager, servable_model
+    from repro.flow.condor import CondorFlow, FlowInputs
     from repro.resilience.clock import VirtualClock
     from repro.serve import (
         InferenceServer,
@@ -442,14 +437,10 @@ def bench_serve(name: str, *, requests: int = 2048,
         TenantSpec,
         run_load,
     )
-    from repro.toolchain.xclbin import read_xclbin
 
     with span("bench.serve", model=name, requests=requests):
-        service, agfi_id, xclbin_bytes = build_fleet_image(
-            servable_model(name), name=f"bench-serve-{name}")
-        net = model_from_json(
-            read_xclbin(xclbin_bytes).network_json).network
-        weights = WeightStore.initialize(net, seed=0)
+        flow = CondorFlow(workdir)
+        build = flow.run(FlowInputs(model=servable_model(name)))
         tenants = (TenantSpec("bench"),)
         spec = LoadSpec(rate_rps=rate_rps,
                         duration_s=requests / rate_rps, seed=seed,
@@ -458,7 +449,8 @@ def bench_serve(name: str, *, requests: int = 2048,
         def run_once(buckets, tag):
             clock = VirtualClock()
             fleet = FleetManager(
-                [F1Instance("f1.2xlarge", service)], agfi_id, weights,
+                [flow.aws.run_f1_instance("f1.2xlarge")],
+                build.agfi_id, build.weights,
                 config=FleetConfig(scrub_every=0), clock=clock)
             server = InferenceServer(
                 fleet, tenants,
@@ -524,7 +516,7 @@ _OPS: dict[str, Callable[..., BenchResult]] = {
 }
 
 
-def run_bench(*, quick: bool = False,
+def run_bench(*, workdir: Path | str, quick: bool = False,
               ops: "set[str] | None" = None,
               progress: Callable[[str], None] | None = None) \
         -> list[BenchResult]:
@@ -532,6 +524,7 @@ def run_bench(*, quick: bool = False,
 
     ``ops`` restricts the suite to the named operations (e.g.
     ``{"engine-steady"}`` for ``condor bench --op engine-steady``).
+    ``serve`` rows build their AFI under ``workdir/serve-<model>``.
     """
     if ops is not None:
         unknown = ops - set(_OPS)
@@ -546,6 +539,9 @@ def run_bench(*, quick: bool = False,
                 continue
             if progress is not None:
                 progress(f"bench {op}:{model} ...")
+            if op == "serve":
+                kwargs = {**kwargs,
+                          "workdir": Path(workdir) / f"serve-{model}"}
             results.append(_OPS[op](model, **kwargs))
     return results
 

@@ -35,10 +35,6 @@ class VirtualClock:
         self._now += seconds
         self.sleeps.append(seconds)
 
-    @property
-    def total_slept(self) -> float:
-        return sum(self.sleeps)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now:.3f}, sleeps={len(self.sleeps)})"
 

@@ -55,7 +55,7 @@ import random
 import zlib
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     AFIError,
@@ -306,18 +306,15 @@ class FaultPlan:
     def random(cls, seed: int,
                boundaries: tuple[str, ...] = ALL_BOUNDARIES, *,
                max_transient: int = 2,
-               allow_permanent: bool = True,
-               include_devices: bool = False) -> "FaultPlan":
+               allow_permanent: bool = True) -> "FaultPlan":
         """A seeded chaos plan (what ``condor chaos`` runs).
 
         Transient/slow/corrupt faults land anywhere; permanent faults
         are confined to cloud boundaries, where the flow degrades to a
         partial run instead of dying.  ``max_transient`` stays below the
         default retry budget so transient weather remains survivable.
-        ``include_devices`` adds run-path weather over the FPGA slots
-        (``device.*``): recoverable SEU bit-flips, crashes, hangs and
-        slowdowns — never a permanent device loss, so a healthy fleet
-        must always fully recover.
+        Device weather is not drawn here: the fleet drill's ``mixed``
+        kind arms it under a paced workload.
         """
         rng = random.Random(
             seed * 0x1_0000_0000 + zlib.crc32(b"fault-plan"))
@@ -338,21 +335,6 @@ class FaultPlan:
         if allow_permanent and cloud and rng.random() < 0.3:
             specs.append(FaultSpec(rng.choice(cloud),
                                    FaultKind.PERMANENT))
-        if include_devices:
-            if rng.random() < 0.5:
-                specs.append(FaultSpec(DEVICE_PATTERN, FaultKind.BITFLIP))
-            if rng.random() < 0.35:
-                specs.append(FaultSpec(
-                    DEVICE_PATTERN, FaultKind.KERNEL_HANG,
-                    delay_s=round(rng.uniform(300.0, 900.0), 1)))
-            if rng.random() < 0.5:
-                specs.append(FaultSpec(
-                    DEVICE_PATTERN, FaultKind.SLOW_DEVICE,
-                    times=rng.randint(1, 2),
-                    delay_s=round(rng.uniform(15.0, 50.0), 1)))
-            if rng.random() < 0.35:
-                specs.append(FaultSpec(DEVICE_PATTERN,
-                                       FaultKind.SLOT_CRASH))
         return cls(specs, seed=seed)
 
 

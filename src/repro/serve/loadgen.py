@@ -8,6 +8,11 @@ batcher SLO deadlines and autoscaler ticks, always executed in virtual
 2000 req/s traffic replays in well under a real second and two runs
 with the same spec produce byte-identical reports.
 
+:func:`build_serving_fleet` stands up the fleet it serves on: the
+model's AFI comes from one Condor flow run (``CondorFlow.run``, paper
+steps 1-8), its weights are the run's weights, and instances launch
+from the run's AWS session.
+
 The :class:`LoadReport` is the deliverable the ROADMAP names: sustained
 requests/sec plus p50/p95/p99 latency (from the server's
 :class:`~repro.obs.QuantileSketch`), shed/failed counts, the batch-size
@@ -17,20 +22,14 @@ histogram that shows coalescing at work, and every autoscaler action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from repro.cloud.f1 import F1Instance
+from repro.cloud.client import AWSSession
 from repro.errors import ShedError
-from repro.fleet import (
-    FleetConfig,
-    FleetManager,
-    build_fleet_image,
-    servable_model,
-)
-from repro.frontend.condor_format import model_from_json
-from repro.frontend.weights import WeightStore
-from repro.toolchain.xclbin import read_xclbin
+from repro.fleet import FleetConfig, FleetManager, servable_model
+from repro.flow.condor import CondorFlow, FlowInputs
 from repro.util.logging import get_logger
 
 from repro.serve.tenants import TenantSpec
@@ -103,30 +102,31 @@ class LoadReport:
         }
 
 
-def build_serving_fleet(model_name: str = "tc1", *, instances: int = 2,
+def build_serving_fleet(workdir: Path | str, model_name: str = "tc1",
+                        *, instances: int = 2,
                         instance_type: str = "f1.4xlarge",
                         config: FleetConfig | None = None,
-                        clock=None, weight_seed: int = 0):
-    """AFI-build a zoo model and stand up a fleet ready to serve it.
+                        clock=None) -> tuple[FleetManager, AWSSession]:
+    """Build a zoo model's AFI and stand up a fleet ready to serve it.
 
-    Returns ``(fleet, afi_service)`` — the service is what an
-    autoscaler's launch hook needs to spin up more instances against
-    the same image.  The default fleet policy disables periodic
-    scrubbing (``scrub_every=0``): serving doubles throughput instead
-    of paying a golden check every fourth batch, and ``verify=True``
-    spot checks remain available.
+    The AFI comes from a Condor flow run in ``workdir`` — the same
+    pipeline ``condor build --deploy aws-f1`` runs.  Returns
+    ``(fleet, aws_session)``: the session is what an autoscaler's
+    launch hook needs to spin up more instances against the same
+    image.  The default fleet policy disables periodic scrubbing
+    (``scrub_every=0``): serving doubles throughput instead of paying a
+    golden check every fourth batch, and ``verify=True`` spot checks
+    remain available.
     """
-    model = servable_model(model_name)
-    service, agfi_id, xclbin_bytes = build_fleet_image(
-        model, name=f"serve-{model_name}")
-    net = model_from_json(read_xclbin(xclbin_bytes).network_json).network
-    weights = WeightStore.initialize(net, seed=weight_seed)
+    flow = CondorFlow(workdir)
+    result = flow.run(FlowInputs(model=servable_model(model_name)))
     fleet_config = config if config is not None \
         else FleetConfig(scrub_every=0)
     fleet = FleetManager(
-        [F1Instance(instance_type, service) for _ in range(instances)],
-        agfi_id, weights, config=fleet_config, clock=clock)
-    return fleet, service
+        [flow.aws.run_f1_instance(instance_type)
+         for _ in range(instances)],
+        result.agfi_id, result.weights, config=fleet_config, clock=clock)
+    return fleet, flow.aws
 
 
 def _arrivals(spec: LoadSpec, start_s: float, rng) \

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.frontend.weights import WeightStore
-from repro.hw.components import Accelerator, PEKind, ProcessingElement
+from repro.hw.components import Accelerator, ProcessingElement
 from repro.nn import functional as F
 from repro.nn.engine import ReferenceEngine
 from repro.sim.core import Channel, Delay, Get, Put, Simulator
@@ -140,22 +140,6 @@ def _sink_process(acc: Accelerator, in_ch: Channel, batch: int,
                         yield Delay(w)
         results.append(out)
         done_at.append(sim.now)
-
-
-def _ingest_image(in_ch: Channel, shape: tuple[int, int, int],
-                  lanes: int = 1):
-    """Sub-generator: receive one (C, H, W) activation, paying stream
-    cycles (per group of ``lanes`` channels), and return it."""
-    c, h, w = shape
-    x = np.empty((c, h, w), dtype=np.float32)
-    for ci in range(c):
-        paced = ci % lanes == 0
-        for r in range(h):
-            row = yield Get(in_ch)
-            x[ci, r] = row
-            if paced:
-                yield Delay(w)
-    return x
 
 
 def _emit_maps(out_ch: Channel, maps: np.ndarray):

@@ -17,28 +17,12 @@ import pytest
 
 from repro.errors import FleetError
 from repro.fleet import FleetConfig, FleetManager
-from repro.fleet.drill import build_drill_image
 from repro.cloud.f1 import F1Instance
-from repro.frontend.condor_format import model_from_json
-from repro.frontend.weights import WeightStore
 from repro.resilience.boundary import reset_breakers
 from repro.resilience.clock import VirtualClock
-from repro.toolchain.xclbin import read_xclbin
 
 THREADS = 12
 PER_THREAD = 8
-
-
-@pytest.fixture(scope="module")
-def image():
-    return build_drill_image()
-
-
-@pytest.fixture(scope="module")
-def weights(image):
-    _, _, xclbin_bytes = image
-    net = model_from_json(read_xclbin(xclbin_bytes).network_json).network
-    return WeightStore.initialize(net, seed=0)
 
 
 @pytest.fixture(autouse=True)
@@ -49,12 +33,12 @@ def fresh_realm():
 
 
 def make_fleet(image, weights, *, count=1, config=None):
-    service, agfi_id, _ = image
-    instances = [F1Instance("f1.4xlarge", service)
+    aws, result = image
+    instances = [F1Instance("f1.4xlarge", aws.afi)
                  for _ in range(count)]
     fleet_config = config if config is not None \
         else FleetConfig(scrub_every=0)
-    return FleetManager(instances, agfi_id, weights,
+    return FleetManager(instances, result.agfi_id, weights,
                         config=fleet_config, clock=VirtualClock())
 
 
@@ -104,7 +88,7 @@ class TestConcurrentSubmitters:
     def test_waiters_survive_elastic_resizing(self, image, weights):
         """submit(wait=True) racing add_instance/drain_instance."""
         fleet = make_fleet(image, weights, count=2)
-        service, _, _ = image
+        aws, _ = image
         shape = fleet.net.input_shape().as_tuple()
         rng = np.random.default_rng(44)
         batches = [
@@ -119,7 +103,7 @@ class TestConcurrentSubmitters:
         def resizer():
             while not stop.is_set():
                 labels = fleet.add_instance(
-                    F1Instance("f1.4xlarge", service))
+                    F1Instance("f1.4xlarge", aws.afi))
                 assert labels
                 fleet.drain_instance()
 

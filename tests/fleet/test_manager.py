@@ -8,9 +8,6 @@ import pytest
 from repro.cloud.f1 import F1Instance
 from repro.errors import FleetError
 from repro.fleet import FleetConfig, FleetManager, SlotState
-from repro.fleet.drill import build_drill_image
-from repro.frontend.condor_format import model_from_json
-from repro.frontend.weights import WeightStore
 from repro.resilience.boundary import (
     breaker_states,
     inject_faults,
@@ -24,19 +21,6 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.toolchain.xclbin import read_xclbin
-
-
-@pytest.fixture(scope="module")
-def image():
-    return build_drill_image()  # (service, agfi_id, xclbin_bytes)
-
-
-@pytest.fixture(scope="module")
-def weights(image):
-    _, _, xclbin_bytes = image
-    net = model_from_json(read_xclbin(xclbin_bytes).network_json).network
-    return WeightStore.initialize(net, seed=0)
 
 
 @pytest.fixture(autouse=True)
@@ -47,9 +31,9 @@ def fresh_realm():
 
 
 def make_fleet(image, weights, *, clock, count=1, config=None):
-    service, agfi_id, _ = image
-    instances = [F1Instance("f1.4xlarge", service) for _ in range(count)]
-    return FleetManager(instances, agfi_id, weights,
+    aws, result = image
+    instances = [F1Instance("f1.4xlarge", aws.afi) for _ in range(count)]
+    return FleetManager(instances, result.agfi_id, weights,
                         config=config, clock=clock)
 
 
@@ -96,9 +80,9 @@ class TestHealthyFleet:
             fleet.run(batch_for(fleet, rng, n=3))
 
     def test_empty_fleet_rejected(self, image, weights):
-        _, agfi_id, _ = image
+        _, result = image
         with pytest.raises(FleetError, match="at least one instance"):
-            FleetManager([], agfi_id, weights)
+            FleetManager([], result.agfi_id, weights)
 
 
 class TestFaultHandling:

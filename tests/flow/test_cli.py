@@ -381,6 +381,12 @@ class TestChaos:
         assert doc["summary"]["survived"] == 2
         assert {"network", "seed", "status", "faults",
                 "resilience"} <= set(doc["runs"][0])
+        # chaos covers the build path only; device weather under load
+        # is the fleet drill's
+        for run in doc["runs"]:
+            assert "fleet" not in run
+            assert not any(spec["boundary"].startswith("device")
+                           for spec in run["faults"]["specs"])
 
     def test_chaos_requires_model_or_zoo(self, tmp_path, capsys):
         assert main(["--workdir", str(tmp_path / "w"), "chaos"]) == 1

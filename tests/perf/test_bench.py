@@ -73,8 +73,8 @@ class TestOps:
         assert result.speedup_vs_baseline > 0
         assert result.cycles is None and result.cache_hits is None
 
-    def test_serve_batching_beats_batch_size_one(self):
-        result = bench_serve("tc1", requests=1024)
+    def test_serve_batching_beats_batch_size_one(self, tmp_path):
+        result = bench_serve("tc1", workdir=tmp_path, requests=1024)
         assert (result.op, result.model) == ("serve", "tc1")
         assert result.wall_s > 0
         # the acceptance bar: coalescing at least doubles serving
@@ -108,7 +108,7 @@ def test_suites_are_subset():
         {"tc1", "lenet"}
 
 
-def test_run_bench_quick(monkeypatch):
+def test_run_bench_quick(monkeypatch, tmp_path):
     """The quick suite runs end to end and yields one row per entry
     (ops stubbed out — the real measurements are covered above)."""
     import repro.perf.bench as bench_mod
@@ -124,15 +124,18 @@ def test_run_bench_quick(monkeypatch):
     for op in ("engine", "engine-steady", "dse", "sim", "serve",
                "obs-overhead", "tsan-overhead"):
         monkeypatch.setitem(bench_mod._OPS, op, fake(op))
-    results = run_bench(quick=True)
+    results = run_bench(quick=True, workdir=tmp_path)
     assert [(r.op, r.model) for r in results] == \
         [(op, model) for op, model, _ in QUICK_SUITE]
-    # each op sees exactly its suite row's kwargs
+    # each op sees exactly its suite row's kwargs; serve rows also get
+    # the directory their flow run builds the AFI in
     assert [kwargs for _, _, kwargs in calls] == \
-        [kwargs for _, _, kwargs in QUICK_SUITE]
+        [{**kwargs, "workdir": tmp_path / f"serve-{model}"}
+         if op == "serve" else kwargs
+         for op, model, kwargs in QUICK_SUITE]
 
 
-def test_run_bench_op_filter(monkeypatch):
+def test_run_bench_op_filter(monkeypatch, tmp_path):
     import repro.perf.bench as bench_mod
 
     for op in ("engine", "engine-steady", "dse", "sim", "serve",
@@ -140,12 +143,13 @@ def test_run_bench_op_filter(monkeypatch):
         monkeypatch.setitem(
             bench_mod._OPS, op,
             lambda model, _op=op, **kw: _result(op=_op, model=model))
-    results = run_bench(quick=True, ops={"engine-steady"})
+    results = run_bench(quick=True, ops={"engine-steady"},
+                        workdir=tmp_path)
     assert [(r.op, r.model) for r in results] == \
         [(op, model) for op, model, _ in QUICK_SUITE
          if op == "engine-steady"]
     with pytest.raises(BenchError, match="unknown bench op"):
-        run_bench(quick=True, ops={"warp-drive"})
+        run_bench(quick=True, ops={"warp-drive"}, workdir=tmp_path)
 
 
 def test_merge_benchmarks_overlays_by_key():

@@ -164,6 +164,26 @@ class TestExecution:
             kernel.set_arg(7, 1)
 
 
+class TestPerformanceModel:
+    def test_billed_cycles_match_a_fresh_estimate(self, session):
+        from repro.hw.perf import estimate_performance
+
+        context, program, kernel = session
+        acc = build_accelerator(program.model)
+        acc.frequency_hz = program.xclbin.frequency_hz
+        fresh = estimate_performance(acc)
+        net = program.accelerator.network
+        weights = WeightStore.initialize(net, 5)
+        for batch in range(1, 9):
+            images = np.zeros((batch, 1, 16, 16), dtype=np.float32)
+            event, _, _ = run_batch(context, program, kernel, images,
+                                    weights)
+            assert event.end_cycles == \
+                fresh.batch_cycles(batch) + fresh.config_cycles
+            assert event.device_seconds == \
+                event.end_cycles / acc.frequency_hz
+
+
 class TestBuffers:
     def test_validation(self, session):
         context, _, _ = session

@@ -1,39 +1,24 @@
-"""Shared serving fixtures: a real tc1 fleet image and an engine-backed
-stub fleet for zoo-wide batching-correctness tests without AFI builds."""
+"""Shared serving fixtures: fleets on the real tc1 image (``image`` and
+``weights`` come from ``tests/conftest.py``) and an engine-backed stub
+fleet for zoo-wide batching-correctness tests without AFI builds."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.cloud.f1 import F1Instance
 from repro.fleet import (
     FleetConfig,
     FleetManager,
     Submission,
-    build_fleet_image,
     servable_model,
 )
-from repro.frontend.condor_format import model_from_json
 from repro.frontend.weights import WeightStore
 from repro.nn.engine import ReferenceEngine
 from repro.resilience.boundary import reset_breakers
 from repro.resilience.clock import VirtualClock
-from repro.toolchain.xclbin import read_xclbin
 
 _server_names = itertools.count(0)
-
-
-@pytest.fixture(scope="module")
-def image():
-    return build_fleet_image(servable_model("tc1"), name="test-serve-tc1")
-
-
-@pytest.fixture(scope="module")
-def weights(image):
-    _, _, xclbin_bytes = image
-    net = model_from_json(read_xclbin(xclbin_bytes).network_json).network
-    return WeightStore.initialize(net, seed=0)
 
 
 @pytest.fixture(autouse=True)
@@ -51,12 +36,12 @@ def server_name():
 
 def make_fleet(image, weights, *, clock, count=1,
                instance_type="f1.4xlarge", config=None):
-    service, agfi_id, _ = image
-    instances = [F1Instance(instance_type, service)
+    aws, result = image
+    instances = [aws.run_f1_instance(instance_type)
                  for _ in range(count)]
     fleet_config = config if config is not None \
         else FleetConfig(scrub_every=0)
-    return FleetManager(instances, agfi_id, weights,
+    return FleetManager(instances, result.agfi_id, weights,
                         config=fleet_config, clock=clock)
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cloud.f1 import F1Instance
 from repro.obs import REGISTRY
 from repro.resilience.clock import VirtualClock
 from repro.serve import (
@@ -28,10 +27,10 @@ def build(image, weights, name, *, count=1):
     server = InferenceServer(
         fleet, (TenantSpec("alpha"),),
         config=ServeConfig(name=name, buckets=(1, 2, 4, 8)))
-    service, _, _ = image
+    aws, _ = image
 
     def launch():
-        return F1Instance("f1.2xlarge", service)
+        return aws.run_f1_instance("f1.2xlarge")
 
     return clock, fleet, server, Autoscaler(server, launch,
                                             config=CONFIG)

@@ -35,6 +35,13 @@ class TestServeCommand:
         manifest = json.loads(
             (tmp_path / "w" / "telemetry.json").read_text())
         assert manifest["serve"]["model"] == "tc1"
+        # the AFI build is a flow run one level down, with its own
+        # manifest the serve manifest does not overwrite
+        build = json.loads(
+            (tmp_path / "w" / "build" / "telemetry.json").read_text())
+        assert "serve" not in build
+        assert build["run"]["network"] == "tc1"
+        assert (tmp_path / "w" / "build" / "afi.json").exists()
         metrics = manifest["metrics"]
         for name in ("condor_serve_requests_total",
                      "condor_serve_batches_total",

@@ -182,6 +182,30 @@ class TestRealFleetServing:
         assert stats["triggers"] == {"size": 1, "slo": 1}
 
 
+    def test_serving_makes_no_per_flush_estimate(
+            self, image, weights, server_name, monkeypatch):
+        """Each loaded program computes its performance model once;
+        flushes bill from it instead of re-estimating."""
+        import repro.runtime.opencl as runtime
+
+        calls = []
+        real = runtime.estimate_performance
+        monkeypatch.setattr(
+            runtime, "estimate_performance",
+            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        fleet = make_fleet(image, weights, clock=VirtualClock())
+        assert len(calls) == len(fleet.slots)  # one per AFI load
+        calls.clear()
+        server = make_server(fleet, server_name, slo_s=0.010)
+        pool = images_for(fleet, np.random.default_rng(20), 11)
+        requests = [server.submit("alpha", pool[i], now=0.001 * i)
+                    for i in range(11)]
+        server.pump(1.0)
+        assert all(r.ok for r in requests)
+        assert sum(server.stats()["batches"].values()) >= 2
+        assert calls == []
+
+
 class TestRecordedSession:
     def test_span_tree_matches_children_walk(self, image, weights,
                                              server_name):
