@@ -381,8 +381,7 @@ def bench_tsan_overhead(name: str, *, iters: int = 20_000,
 
     from repro.sanitizer.lockcheck import InstrumentedRLock, SanitizerState
 
-    # conc: allow CONC006 -- the raw lock IS the measured baseline
-    plain_lock = threading.RLock()
+    plain_lock = threading.RLock()  # raw on purpose: the baseline
     checked_lock = InstrumentedRLock("perf.bench.tsan", SanitizerState())
 
     def spin(lock) -> Callable[[], None]:

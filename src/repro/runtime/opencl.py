@@ -17,6 +17,7 @@ Execution modes (``CommandQueue(..., emulation=...)``):
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,11 @@ from repro.toolchain.xclbin import Xclbin, read_xclbin
 from repro.util.logging import get_logger
 
 _log = get_logger("runtime")
+
+#: Profiling events a queue keeps (the newest); a long-lived serving
+#: queue would otherwise grow without bound.  ``finish()`` still totals
+#: every command ever enqueued.
+EVENT_HISTORY = 1024
 
 
 class SimDevice:
@@ -182,7 +188,7 @@ class CommandQueue:
         self.context = context
         self.emulation = emulation
         self.clock = clock
-        self.events: list[Event] = []
+        self.events: deque[Event] = deque(maxlen=EVENT_HISTORY)
         self._device_time_s = 0.0
 
     # -- data movement --------------------------------------------------------

@@ -8,9 +8,9 @@ and release reports into the process-wide :data:`STATE`, which keeps:
 * the per-thread *held stack* (which named locks this thread holds, in
   acquisition order);
 * the *observed lock-order graph* over lock names — an edge ``A -> B``
-  means some thread acquired ``B`` while holding ``A``.  The
-  cross-validation tests assert this graph is a subgraph of the static
-  one ``condor audit`` computes from the source;
+  means some thread acquired ``B`` while holding ``A``.  The hierarchy
+  tests assert this graph is a subset of the three owner -> metric
+  edges that docs/INTERNALS.md states;
 * :class:`Finding` records for the three failure modes:
 
   - ``order-inversion`` (error): acquiring ``B`` while holding ``A``
@@ -23,20 +23,18 @@ and release reports into the process-wide :data:`STATE`, which keeps:
     wrapper raises :class:`~repro.errors.SanitizerError` instead of
     deadlocking the suite.
   - ``slow-hold`` (warning): a lock held longer than
-    ``REPRO_TSAN_HOLD_SECONDS`` (default 0.5 s) — a latency hazard for
-    every thread contending on it, not a correctness bug.
+    :data:`DEFAULT_HOLD_SECONDS` (0.5 s) — a latency hazard for every
+    thread contending on it, not a correctness bug.
 
 The sanitizer's own bookkeeping runs under a *raw* ``threading.Lock``
 (never instrumented) and never touches the metrics registry from the
 acquire path — metric locks are themselves instrumented, so bumping a
 counter per acquire would recurse.  Totals are copied into the
-``condor_tsan_*`` gauges on demand via :meth:`SanitizerState.publish`
-(the pytest fixture and CLI call it once at the end).
+``condor_tsan_*`` gauges on demand via :meth:`SanitizerState.publish`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -46,7 +44,6 @@ from repro.errors import SanitizerError
 __all__ = [
     "DEFAULT_HOLD_SECONDS",
     "Finding",
-    "HOLD_ENV",
     "InstrumentedLock",
     "InstrumentedRLock",
     "MAX_FINDINGS",
@@ -54,23 +51,11 @@ __all__ = [
     "SanitizerState",
 ]
 
-HOLD_ENV = "REPRO_TSAN_HOLD_SECONDS"
 DEFAULT_HOLD_SECONDS = 0.5
 #: Findings kept per state; a deadlock-prone suite would otherwise flood.
 MAX_FINDINGS = 200
 
 FINDING_KINDS = ("order-inversion", "double-acquire", "slow-hold")
-
-
-def _hold_threshold() -> float:
-    raw = os.environ.get(HOLD_ENV, "")
-    if not raw:
-        return DEFAULT_HOLD_SECONDS
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_HOLD_SECONDS
-    return value if value > 0 else DEFAULT_HOLD_SECONDS
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,7 @@ class SanitizerState:
     suite-failing fixture.
     """
 
-    def __init__(self, hold_threshold: float | None = None):
+    def __init__(self, hold_threshold: float = DEFAULT_HOLD_SECONDS):
         #: raw lock — the sanitizer must never instrument itself
         self._mu = threading.Lock()
         self._tls = threading.local()
@@ -111,8 +96,7 @@ class SanitizerState:
         self._acquires = 0
         self._lock_names: set[str] = set()
         self._max_hold = 0.0
-        self._hold_threshold = (_hold_threshold() if hold_threshold is None
-                                else float(hold_threshold))
+        self._hold_threshold = float(hold_threshold)
 
     # -- per-thread held stack ------------------------------------------------
 
@@ -246,7 +230,7 @@ class SanitizerState:
             self._max_hold = 0.0
 
     def snapshot(self) -> dict:
-        """JSON-able summary (the ``condor audit --tsan`` payload)."""
+        """JSON-able summary of the graph, counters and findings."""
         with self._mu:
             edges = sorted((src, dst) for src, dsts in self._edges.items()
                            for dst in dsts)

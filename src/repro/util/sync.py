@@ -4,14 +4,10 @@ Locks created here carry a *name* (a string literal at the creation
 site, e.g. ``"obs.metrics.MetricsRegistry"``).  Names identify a lock's
 *role* rather than its instance: every metric shares the name
 ``"obs.metrics.Metric"``, every plan cache ``"nn.plan.PlanCache"``.
-That makes two things possible:
-
-* the runtime lock sanitizer (:mod:`repro.sanitizer.lockcheck`) builds
-  its observed lock-order graph over names, so it can be compared
-  against the *static* lock-order graph ``condor audit`` derives from
-  the source — same node vocabulary on both sides;
-* the documented lock hierarchy (docs/INTERNALS.md, "Concurrency
-  model") is stated in terms of these names.
+The runtime lock sanitizer (:mod:`repro.sanitizer.lockcheck`) builds
+its observed lock-order graph over these names, and the documented lock
+hierarchy (docs/INTERNALS.md, "Concurrency model") is stated in the
+same vocabulary, so the two can be compared edge for edge.
 
 Under ``REPRO_TSAN=1`` (read at lock-creation time) the factories
 return instrumented wrappers that track per-thread held-sets and report
@@ -19,8 +15,8 @@ order inversions, double acquires and slow holds; otherwise they return
 plain :mod:`threading` primitives with zero overhead.
 
 Direct ``threading.Lock()`` construction elsewhere in ``src/repro`` is
-flagged by the ``conc-raw-lock`` audit rule — the factory is how a lock
-joins the checked hierarchy.
+flagged by the ``raw-lock`` lint rule (``tools/lint``) — the factory is
+how a lock joins the checked hierarchy.
 """
 
 from __future__ import annotations

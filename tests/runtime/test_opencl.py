@@ -10,6 +10,7 @@ from repro.hw.accelerator import build_accelerator
 from repro.hw.resources import device_for_board
 from repro.nn.engine import ReferenceEngine
 from repro.runtime.opencl import (
+    EVENT_HISTORY,
     Buffer,
     CommandQueue,
     Context,
@@ -162,6 +163,30 @@ class TestExecution:
         _, _, kernel = session
         with pytest.raises(RuntimeAPIError):
             kernel.set_arg(7, 1)
+
+    def test_event_history_is_bounded(self, session):
+        # a long-lived queue keeps only the newest EVENT_HISTORY events,
+        # but finish() still bills every launch it ever ran
+        context, program, kernel = session
+        net = program.accelerator.network
+        weights = WeightStore.initialize(net, 5)
+        images = np.zeros((4, 1, 16, 16), dtype=np.float32)
+        run_batch(context, program, kernel, images, weights)  # sets args
+        queue = CommandQueue(context)
+        launched = []
+        for i in range(EVENT_HISTORY + 10):
+            kernel.set_arg(3, 1 + i % 4)
+            launched.append(queue.enqueue_task(kernel))
+        assert EVENT_HISTORY == 1024
+        assert len(queue.events) == EVENT_HISTORY
+        kept = list(queue.events)
+        assert all(a is b for a, b in
+                   zip(kept, launched[-EVENT_HISTORY:]))
+        assert kept[-1] is launched[-1]
+        total = 0.0
+        for event in launched:
+            total += event.device_seconds
+        assert queue.finish() == total
 
 
 class TestPerformanceModel:

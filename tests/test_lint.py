@@ -40,7 +40,7 @@ def test_all_rules_registered():
         "telemetry-print", "telemetry-getlogger", "broad-except",
         "generic-raise", "sim-wallclock", "mutable-default",
         "flow-step-span", "wallclock-sleep", "sim-slots",
-        "engine-plan-alloc", "metric-name",
+        "engine-plan-alloc", "metric-name", "raw-lock",
     }
 
 
@@ -254,3 +254,33 @@ def test_flow_step_span(tmp_path):
     found = run_lint(tmp_path, select=["flow-step-span"])
     assert len(found) == 1
     assert "estimate_accelerator" in found[0].message
+
+
+def test_raw_lock_flagged(tmp_path):
+    found = _lint_source(
+        tmp_path,
+        "import threading\n"
+        "import threading as th\n"
+        "from threading import RLock as R\n"
+        "a = threading.Lock()\n"
+        "b = th.RLock()\n"
+        "c = R()\n"
+        "d = new_lock('ok.Named')\n"
+        "e = threading.Event()\n",
+        select=["raw-lock"])
+    assert [v.line for v in found] == [4, 5, 6]
+    assert "new_lock" in found[0].message
+
+
+def test_raw_lock_allowed_only_for_the_bench_baseline(tmp_path):
+    # the tsan-overhead row's raw RLock is its measured baseline; any
+    # other function in the same file is still checked
+    (tmp_path / "perf").mkdir()
+    (tmp_path / "perf" / "bench.py").write_text(
+        "import threading\n"
+        "def bench_tsan_overhead():\n"
+        "    return threading.RLock()\n"
+        "def bench_other():\n"
+        "    return threading.RLock()\n")
+    found = run_lint(tmp_path, select=["raw-lock"])
+    assert [(v.path, v.line) for v in found] == [("perf/bench.py", 5)]

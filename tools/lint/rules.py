@@ -459,3 +459,67 @@ class FlowStepSpanRule(LintRule):
                 rel_path, call,
                 f"{name}() outside a step span — wrap it in 'with"
                 " self._step(...)' (or 'with span(...)')")
+
+
+_RAW_LOCKS = {"Lock", "RLock"}
+
+
+def _threading_lock_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Local names bound to the ``threading`` module, and to its
+    ``Lock``/``RLock`` classes, by this module's imports."""
+    modules, classes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name
+                           for alias in node.names
+                           if alias.name == "threading")
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module == "threading":
+            classes.update(alias.asname or alias.name
+                           for alias in node.names
+                           if alias.name in _RAW_LOCKS)
+    return modules, classes
+
+
+@register_rule
+class RawLockRule(LintRule):
+    """Every lock comes from the named-lock factory
+    (``repro.util.sync.new_lock`` / ``new_rlock``): under
+    ``REPRO_TSAN=1`` that is how the runtime sanitizer sees it.  Raw
+    ``threading`` locks belong only to the factory, to the sanitizer
+    (its own bookkeeping must stay uninstrumented) and to the baseline
+    loop the ``tsan-overhead`` bench row measures the sanitizer
+    against."""
+
+    id = "raw-lock"
+    description = ("ban threading.Lock()/RLock() outside the named-lock"
+                   " factory")
+    allow = frozenset({"util/sync.py", "sanitizer/lockcheck.py"})
+    #: (file, function) pairs whose raw lock is the point
+    allow_functions = frozenset({("perf/bench.py", "bench_tsan_overhead")})
+
+    def check(self, tree, rel_path):
+        modules, classes = _threading_lock_names(tree)
+        exempt = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and \
+                    (rel_path, node.name) in self.allow_functions:
+                exempt.update(id(sub) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt:
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and \
+                    func.attr in _RAW_LOCKS and \
+                    isinstance(func.value, ast.Name) and \
+                    func.value.id in modules:
+                name = func.attr
+            elif isinstance(func, ast.Name) and func.id in classes:
+                name = func.id
+            else:
+                continue
+            yield self.violation(
+                rel_path, node,
+                f"raw threading.{name}() is invisible to the lock"
+                " sanitizer — use repro.util.sync.new_lock(name) /"
+                " new_rlock(name)")
