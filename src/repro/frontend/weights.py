@@ -9,7 +9,7 @@ the in-memory object maps ``layer name → blob name → ndarray``.
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,26 +20,28 @@ from repro.ir.network import Network
 
 _MANIFEST = "weights.json"
 
-#: Process-unique tokens so caches keyed on a store never collide across
-#: store instances (``id()`` can be recycled after garbage collection).
-_STORE_TOKENS = itertools.count()
-
 
 class WeightStore:
     """Blobs for the learnable layers of a network.
 
-    Every store carries a process-unique :attr:`token` and a per-layer
-    mutation counter (:meth:`version_of`, bumped by :meth:`set`), so the
-    execution-plan cache (:mod:`repro.nn.plan`) — which bakes packed
-    weight views into compiled plans — can key plans on
-    ``(token, layer, version)`` and recompile automatically when a
-    layer's blobs are replaced.
+    Every layer carries a mutation counter (:meth:`version_of`, bumped
+    by :meth:`set`) and a content digest (:meth:`digest_of`, computed
+    once per version).  The execution-plan cache (:mod:`repro.nn.plan`)
+    keys plans on the digest, so stores holding equal blobs share one
+    compiled plan set and a replaced blob recompiles automatically; the
+    reference engine re-checks the cheap version on every pass.
+
+    Blobs are not copied on :meth:`set`: a caller that writes into an
+    array in place must build a new store (as the runtime does when a
+    device weight buffer changes), because the cached digest would not
+    see the write.
     """
 
     def __init__(self, blobs: dict[str, dict[str, np.ndarray]] | None = None):
         self._blobs: dict[str, dict[str, np.ndarray]] = {}
-        self._token = next(_STORE_TOKENS)
         self._versions: dict[str, int] = {}
+        #: layer -> (version, digest) of the last :meth:`digest_of`.
+        self._digests: dict[str, tuple[int, str]] = {}
         if blobs:
             for layer, named in blobs.items():
                 for blob, array in named.items():
@@ -47,14 +49,27 @@ class WeightStore:
 
     # -- access ---------------------------------------------------------------
 
-    @property
-    def token(self) -> int:
-        """Process-unique identity of this store (stable for its lifetime)."""
-        return self._token
-
     def version_of(self, layer: str) -> int:
         """Mutation counter for ``layer`` (0 until its first :meth:`set`)."""
         return self._versions.get(layer, 0)
+
+    def digest_of(self, layer: str) -> str:
+        """Digest of ``layer``'s blob names, shapes, dtypes and bytes.
+
+        Computed once per :meth:`version_of` value; a layer without
+        blobs has the digest of nothing, shared by every store.
+        """
+        version = self._versions.get(layer, 0)
+        memo = self._digests.get(layer)
+        if memo is not None and memo[0] == version:
+            return memo[1]
+        h = hashlib.sha256()
+        for blob, array in sorted(self._blobs.get(layer, {}).items()):
+            h.update(f"{blob}:{array.dtype.str}:{array.shape};".encode())
+            h.update(np.ascontiguousarray(array).data)
+        digest = h.hexdigest()
+        self._digests[layer] = (version, digest)
+        return digest
 
     def set(self, layer: str, blob: str, array: np.ndarray) -> None:
         array = np.asarray(array, dtype=np.float32)

@@ -56,9 +56,12 @@ _ACTIVATIONS = {
 class ReferenceEngine:
     """Forward inference over a network with a weight store.
 
-    ``plan_cache`` defaults to the process-wide cache, which is safe to
-    share across threads — compiled plans keep their replay scratch in
-    per-thread storage; pass a private
+    ``plan_cache`` defaults to the process-wide cache.  Plans are keyed
+    on the content of each layer's weights, so every engine whose store
+    holds the same blobs (the fleet's golden engine and each of its
+    slots) replays one shared plan set; the plans own copies of those
+    blobs, and keep their replay scratch in per-thread storage, so
+    sharing is safe across stores and threads.  Pass a private
     :class:`~repro.nn.plan.PlanCache` only to isolate cache statistics
     or eviction behaviour.  ``use_plans=False`` runs the oracle instead:
     :meth:`run_layer` looped over the samples of each batch.

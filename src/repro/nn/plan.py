@@ -11,9 +11,11 @@ compiled result — this module compiles each layer once into an
 * a flat gather-index map (:func:`~repro.nn.functional.im2col_index_map`
   / :func:`~repro.nn.functional.pool_index_map`) over one sample, applied
   to every sample of a batch by one ``take``;
-* pre-packed weight matrices and pre-broadcast bias columns;
-* pre-allocated padded-input / patch-matrix / output scratch buffers per
-  batch size;
+* pre-packed weight matrices and pre-broadcast bias columns, private
+  copies of the store's blobs (never views into a caller's buffer);
+* one set of padded-input / patch-matrix / output scratch buffers sized
+  to the largest batch replayed so far; a smaller batch runs in the
+  leading ``[:n]`` slices, so each sample's GEMM is unchanged;
 * a fused conv+bias+ReLU step list replayed with in-place kernels.
 
 Plans only run batches (:meth:`ExecutionPlan.run_batch` over
@@ -27,11 +29,14 @@ change under a gathered copy (``mean`` pairs partial sums differently on
 contiguous data than on a strided view), so avg-pool plans replay the
 stride-trick kernel unchanged.
 
-:class:`PlanCache` is a bounded LRU keyed by (weight-store token,
-per-layer weight version, layer config, input shape, dtype).  Mutating a
+:class:`PlanCache` is a bounded LRU keyed by (layer config, input
+shape, dtype, content digest of the layer's blobs).  Stores holding the
+same weights — the golden engine and every fleet slot loaded with the
+same AFI — therefore resolve to one shared plan set.  Replacing a
 layer's blobs through :meth:`~repro.frontend.weights.WeightStore.set`
-bumps its version, so stale plans can never be replayed; they age out of
-the LRU.  ``REPRO_PLAN_CACHE_SIZE`` overrides the default LRU capacity.
+bumps its version and hence its digest, so stale plans can never be
+replayed; they age out of the LRU.  ``REPRO_PLAN_CACHE_SIZE`` overrides
+the default LRU capacity.
 
 Plans are safe to replay from multiple threads at once: the compiled
 geometry (index maps, packed weights, bias columns) is immutable and
@@ -39,7 +44,7 @@ shared, while the mutable scratch buffers live in per-thread storage
 (:class:`_PerThread`), allocated lazily on each thread's first replay.
 Engines on different threads may therefore share one :class:`PlanCache`
 — including the process-wide :func:`default_plan_cache` — at the cost
-of one scratch set per (plan, thread) pair.
+of one max-batch scratch set per (plan, thread) pair.
 """
 
 from __future__ import annotations
@@ -82,12 +87,6 @@ __all__ = [
 
 SIZE_ENV = "REPRO_PLAN_CACHE_SIZE"
 DEFAULT_CAPACITY = 256
-
-#: Distinct batch sizes a plan keeps scratch for (serving traffic runs a
-#: few stable batch sizes — the 1/2/4/8 bucket ladder, whose batch-1 slot
-#: single-sample ``forward`` shares; anything beyond rotates out
-#: LRU-style).
-MAX_BATCH_VARIANTS = 4
 
 PLAN_HITS = REGISTRY.counter(
     "condor_plan_cache_hits_total",
@@ -172,27 +171,48 @@ class _InputPlan(ExecutionPlan):
         return xb
 
 
-class _BatchScratch:
-    """Per-batch-size scratch buffers, bounded to MAX_BATCH_VARIANTS.
-
-    Always owned by exactly one thread (see :class:`_PerThread`), so the
-    LRU bookkeeping needs no lock.
+class _Scratch:
+    """One scratch set sized to the largest batch seen so far; a smaller
+    batch replays in the leading ``[:n]`` slices of ``make(n)``'s arrays.
+    Owned by one thread (see :class:`_PerThread`), so it needs no lock.
     """
 
     def __init__(self, make: Callable[[int], tuple]):
         self._make = make
-        self._bufs: OrderedDict[int, tuple] = OrderedDict()
+        self._bufs: tuple = ()
+        self.capacity = 0
 
     def get(self, n: int) -> tuple:
-        bufs = self._bufs.get(n)
-        if bufs is None:
-            bufs = self._make(n)
-            self._bufs[n] = bufs
-            while len(self._bufs) > MAX_BATCH_VARIANTS:
-                self._bufs.popitem(last=False)
-        else:
-            self._bufs.move_to_end(n)
-        return bufs
+        if n > self.capacity:
+            self._bufs = self._make(n)
+            self.capacity = n
+        if n == self.capacity:
+            return self._bufs
+        return tuple(None if buf is None else buf[:n]
+                     for buf in self._bufs)
+
+
+def _private(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """A C-contiguous copy the plan owns: a plan is shared by every store
+    with equal blobs, so a view would let an in-place write to one
+    caller's buffer leak into all of them."""
+    return np.array(array, dtype=dtype, order="C", copy=True)
+
+
+_ACTIVATION_FNS = {
+    Activation.RELU: F.relu,
+    Activation.SIGMOID: F.sigmoid,
+    Activation.TANH: F.tanh,
+}
+
+
+def _activate(activation: Activation, out: np.ndarray) -> np.ndarray:
+    """Apply a fused activation to scratch ``out`` in place."""
+    if activation is Activation.RELU:
+        np.maximum(out, 0.0, out=out)
+    elif activation is not Activation.NONE:
+        out[...] = _ACTIVATION_FNS[activation](out)
+    return out
 
 
 class _PerThread:
@@ -235,11 +255,9 @@ class _ConvPlan(ExecutionPlan):
 
         self._index_map = F.im2col_index_map(in_shape, layer.kernel,
                                              layer.stride, layer.pad)
-        self._packed = np.ascontiguousarray(
-            weights.reshape(f, -1).astype(out_dtype, copy=False))
+        self._packed = _private(weights.reshape(f, -1), out_dtype)
         self._bias_col = None if bias is None else \
-            np.ascontiguousarray(bias[:, None].astype(out_dtype,
-                                                      copy=False))
+            _private(bias[:, None], out_dtype)
         self._activation = layer.activation
         self._padded_shape = (c, hp, wp)
         self._needs_pad = (ph, pw) != (0, 0)
@@ -250,7 +268,7 @@ class _ConvPlan(ExecutionPlan):
         self._out3_shape = (f, oh, ow)
         self._out_dtype = out_dtype
         self._batch = _PerThread(
-            lambda: _BatchScratch(self._make_batch))
+            lambda: _Scratch(self._make_batch))
         steps = ["pad"] if self._needs_pad else []
         steps += ["gather", "gemm"]
         if self._bias_col is not None:
@@ -268,15 +286,6 @@ class _ConvPlan(ExecutionPlan):
         out = np.empty((n, f, m), self._out_dtype)
         return pad_buf, cols, out, out.reshape((n,) + self._out3_shape)
 
-    def _finish(self, out: np.ndarray) -> np.ndarray:
-        if self._activation is Activation.RELU:
-            return np.maximum(out, 0.0, out=out)
-        if self._activation is Activation.SIGMOID:
-            return F.sigmoid(out)
-        if self._activation is Activation.TANH:
-            return np.tanh(out)
-        return out
-
     def run_batch(self, xb):
         self._check(tuple(xb.shape))
         n = xb.shape[0]
@@ -290,7 +299,7 @@ class _ConvPlan(ExecutionPlan):
         np.matmul(self._packed, cols, out=out)
         if self._bias_col is not None:
             np.add(out, self._bias_col, out=out)
-        return self._finish(out4d)
+        return _activate(self._activation, out4d)
 
 
 class _MaxPoolPlan(ExecutionPlan):
@@ -318,7 +327,7 @@ class _MaxPoolPlan(ExecutionPlan):
         self._out_len = c * oh * ow
         self._out3_shape = (c, oh, ow)
         self._batch = _PerThread(
-            lambda: _BatchScratch(self._make_batch))
+            lambda: _Scratch(self._make_batch))
         steps = ["pad"] if self._needs_pad else []
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          tuple(steps + ["gather", "max"]))
@@ -361,15 +370,13 @@ class _FCPlan(ExecutionPlan):
                 f"fc weights must be (N, {k}), got {weights.shape}")
         f = weights.shape[0]
         out_dtype = np.result_type(dtype, weights.dtype)
-        self._weights = np.ascontiguousarray(
-            weights.astype(out_dtype, copy=False))
-        self._bias = None if bias is None else \
-            np.ascontiguousarray(bias.astype(out_dtype, copy=False))
+        self._weights = _private(weights, out_dtype)
+        self._bias = None if bias is None else _private(bias, out_dtype)
         self._activation = layer.activation
         self._features = f
         self._out_dtype = out_dtype
         self._batch = _PerThread(
-            lambda: _BatchScratch(self._make_batch))
+            lambda: _Scratch(self._make_batch))
         steps = ["gemv"]
         if self._bias is not None:
             steps.append("bias")
@@ -383,15 +390,6 @@ class _FCPlan(ExecutionPlan):
         out = np.empty((n, f, 1), self._out_dtype)
         return out, out.reshape(n, f), out.reshape(n, f, 1, 1)
 
-    def _finish(self, out: np.ndarray) -> np.ndarray:
-        if self._activation is Activation.RELU:
-            return np.maximum(out, 0.0, out=out)
-        if self._activation is Activation.SIGMOID:
-            return F.sigmoid(out)
-        if self._activation is Activation.TANH:
-            return np.tanh(out)
-        return out
-
     def run_batch(self, xb):
         self._check(tuple(xb.shape))
         n = xb.shape[0]
@@ -399,7 +397,7 @@ class _FCPlan(ExecutionPlan):
         np.matmul(self._weights, xb.reshape(n, -1)[:, :, None], out=out3)
         if self._bias is not None:
             np.add(out2, self._bias, out=out2)
-        self._finish(out2)
+        _activate(self._activation, out2)
         return out4
 
 
@@ -439,12 +437,6 @@ class _OraclePlan(ExecutionPlan):
 
 
 # -- compilation --------------------------------------------------------------
-
-_ACTIVATION_FNS = {
-    Activation.RELU: F.relu,
-    Activation.SIGMOID: F.sigmoid,
-    Activation.TANH: F.tanh,
-}
 
 
 def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
@@ -505,11 +497,13 @@ def compile_plan(layer: Layer, in_shape: tuple[int, ...],
 class PlanCache:
     """Bounded LRU of compiled execution plans.
 
-    Keys are ``(store token, layer weight version, layer, input shape,
-    dtype)`` — layers are frozen dataclasses, so the layer itself hashes
-    its full configuration (kind, kernel, stride, pad, activation).  The
-    weight version makes stale plans unreachable the moment a blob is
-    replaced; :meth:`invalidate` additionally drops them eagerly.
+    Keys are ``(layer, input shape, dtype, weight digest)`` — layers are
+    frozen dataclasses, so the layer itself hashes its full
+    configuration (name, kind, kernel, stride, pad, activation), and
+    :meth:`~repro.frontend.weights.WeightStore.digest_of` names the
+    layer's blob contents.  Stores with equal blobs share one plan;
+    replacing a blob changes the digest, so stale plans are unreachable
+    at once, and :meth:`invalidate` additionally drops them eagerly.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -528,8 +522,8 @@ class PlanCache:
     @staticmethod
     def _key(layer: Layer, in_shape: tuple[int, ...],
              store: "WeightStore", dtype: np.dtype) -> tuple:
-        return (store.token, store.version_of(layer.name), layer,
-                tuple(in_shape), dtype.str)
+        return (layer, tuple(in_shape), dtype.str,
+                store.digest_of(layer.name))
 
     def record_hit(self) -> None:
         """Count a replay served without touching the cache dict (the
@@ -572,13 +566,15 @@ class PlanCache:
 
     def invalidate(self, store: "WeightStore | None" = None,
                    layer: str | None = None) -> int:
-        """Drop cached plans for ``store`` and/or ``layer`` (both
-        ``None`` drops everything).  Returns the number dropped."""
+        """Drop cached plans for ``store``'s current weights and/or
+        ``layer`` (both ``None`` drops everything).  A plan ``store``
+        shares with another store of equal blobs is dropped for both.
+        Returns the number dropped."""
         with self._lock:
             doomed = [
-                key for key, plan in self._plans.items()
-                if (store is None or key[0] == store.token)
-                and (layer is None or plan.layer_name == layer)
+                key for key in self._plans
+                if (layer is None or key[0].name == layer)
+                and (store is None or key[3] == store.digest_of(key[0].name))
             ]
             for key in doomed:
                 del self._plans[key]

@@ -150,7 +150,10 @@ class Kernel:
         self.args: dict[int, object] = {}
         #: (weights buffer, its generation, engine) of the last "fast"
         #: mode launch — steady-state serving re-enqueues with the same
-        #: weights, so the engine and its warm plan cache are reused
+        #: weights, so the engine and its resolved plans are reused.  Any
+        #: change to the buffer bumps its generation and builds a new
+        #: engine, whose store (views into the buffer) is digested afresh
+        #: and resolves to the plans shared by every equal-weight store.
         self._engine: tuple[Buffer, int, ReferenceEngine] | None = None
 
     def set_arg(self, index: int, value: object) -> None:

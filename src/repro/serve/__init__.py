@@ -5,7 +5,7 @@ this package is the reason the AFI exists — serving traffic:
 
 * :mod:`repro.serve.batcher` — :class:`DynamicBatcher`: coalesce
   single requests into bucket-sized batches under a latency SLO, so
-  steady-state serving replays a fixed set of warm execution plans;
+  steady-state serving runs a fixed ladder of batch sizes;
 * :mod:`repro.serve.tenants` — token-bucket quotas and the admission
   controller that degrades to typed load shedding
   (:class:`~repro.errors.ShedError`) before queues grow unbounded;

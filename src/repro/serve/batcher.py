@@ -1,15 +1,15 @@
 """Dynamic batching: coalesce single requests into bucketed batches.
 
 The batched engine amortizes per-invocation configuration and pipeline
-fill over the batch (``batch_cycles = fill + (n-1)·II``), and the plan
-cache replays a warm execution plan per *distinct* batch size but keeps
-only ``MAX_BATCH_VARIANTS`` scratch variants alive.  A naive coalescer
-that flushes whatever happens to be queued would emit every batch size
-from 1 to capacity and thrash that bound.  The
-:class:`DynamicBatcher` therefore snaps every flush to a small ladder
-of **buckets** (default 1/2/4/8): a flush of three requests is padded
-to four, so steady-state serving exercises exactly ``len(buckets)``
-plan variants, all permanently warm.
+fill over the batch (``batch_cycles = fill + (n-1)·II``).  A naive
+coalescer that flushes whatever happens to be queued would emit every
+batch size from 1 to capacity.  The :class:`DynamicBatcher` instead
+snaps every flush to a small ladder of **buckets** (default 1/2/4/8): a
+flush of three requests is padded to four, so steady-state serving
+runs exactly ``len(buckets)`` batch sizes.  Each bucket bills a fixed,
+known device time, the per-bucket telemetry stays a handful of
+series, and a warm-up of one batch per bucket per slot covers every
+shape the fleet will run.
 
 Two triggers release work, both deterministic on the virtual clock:
 
@@ -37,8 +37,8 @@ from repro.util.sync import new_lock
 
 __all__ = ["DEFAULT_BUCKETS", "DynamicBatcher", "Flush", "ServeRequest"]
 
-#: The default batch-size ladder; matches the plan cache's variant
-#: bound so steady-state serving keeps every bucket's plan warm.
+#: The default batch-size ladder: powers of two up to the fleet's
+#: default capacity of 8.
 DEFAULT_BUCKETS: tuple[int, ...] = (1, 2, 4, 8)
 
 

@@ -1,5 +1,6 @@
 """The execution-plan cache: bit-identical replay, LRU bounds,
-weight-mutation invalidation and dtype keying.
+weight-content keying, weight-mutation invalidation, dtype keying and
+the single max-batch scratch set.
 
 Every equivalence assertion here is ``np.array_equal`` — plans replay
 the exact arithmetic of the unplanned kernels (gathers are pure data
@@ -13,7 +14,7 @@ import pytest
 import repro.nn.functional as F
 from repro.errors import ShapeError
 from repro.frontend.weights import WeightStore
-from repro.ir.layers import ConvLayer
+from repro.ir.layers import Activation, ConvLayer, FullyConnectedLayer
 from repro.nn.engine import ReferenceEngine
 from repro.nn.plan import (
     SIZE_ENV,
@@ -243,13 +244,120 @@ def test_dtype_keys_separate_plans():
     assert out32.dtype == np.float32
 
 
-def test_store_tokens_separate_plans():
+def test_equal_blobs_share_one_plan():
+    """Two stores holding identical blobs resolve to one plan object
+    from a single compile."""
     layer, store_a, in_shape = _conv_setup()
     _, store_b, _ = _conv_setup()
+    assert store_a.digest_of("conv") == store_b.digest_of("conv")
+    cache = PlanCache(capacity=8)
+    pa = cache.lookup(layer, in_shape, store_a)
+    pb = cache.lookup(layer, in_shape, store_b)
+    assert pa is pb and len(cache) == 1
+    assert cache.stats()["compiles"] == 1
+
+
+@pytest.mark.parametrize("blob", ["weights", "bias"])
+def test_one_differing_blob_separates_plans(blob):
+    layer, store_a, in_shape = _conv_setup()
+    _, store_b, _ = _conv_setup()
+    changed = store_b.get("conv", blob).copy()
+    changed.flat[0] = np.nextafter(changed.flat[0], np.float32(np.inf))
+    store_b.set("conv", blob, changed)
     cache = PlanCache(capacity=8)
     pa = cache.lookup(layer, in_shape, store_a)
     pb = cache.lookup(layer, in_shape, store_b)
     assert pa is not pb and len(cache) == 2
+    x = np.random.default_rng(12).normal(size=(1,) + in_shape) \
+        .astype(np.float32)
+    for plan, store in ((pa, store_a), (pb, store_b)):
+        expected = F.conv2d(x[0], store.get("conv", "weights"),
+                            store.get("conv", "bias"))
+        assert np.array_equal(plan.run_batch(x)[0], expected)
+
+
+@pytest.mark.parametrize("kind", ["conv", "fc"])
+@pytest.mark.parametrize("blob", ["weights", "bias"])
+def test_plan_owns_its_blobs(kind, blob):
+    """Writing into the source arrays after compile (what an in-place
+    corruption of a device weight buffer does) leaves replay unchanged:
+    a shared plan must never view a caller's buffer."""
+    if kind == "conv":
+        layer, store, in_shape = _conv_setup()
+    else:
+        layer = FullyConnectedLayer(name="fc", num_output=3)
+        in_shape = (4, 2, 2)
+        rng = np.random.default_rng(13)
+        store = WeightStore()
+        store.set("fc", "weights",
+                  rng.normal(size=(3, 16)).astype(np.float32))
+        store.set("fc", "bias", rng.normal(size=(3,)).astype(np.float32))
+    plan = compile_plan(layer, in_shape, store)
+    x = np.random.default_rng(14).normal(size=(2,) + in_shape) \
+        .astype(np.float32)
+    before = plan.run_batch(x).copy()
+    store.get(layer.name, blob)[...] *= 3.0
+    assert np.array_equal(plan.run_batch(x), before)
+
+
+@pytest.mark.parametrize("activation", [Activation.RELU,
+                                        Activation.SIGMOID,
+                                        Activation.TANH])
+@pytest.mark.parametrize("kind", ["conv", "fc"])
+def test_fused_activation_matches_oracle(kind, activation):
+    """Every fused activation lands in the plan's output, for conv and
+    fc alike (sigmoid and tanh allocate, so their result must be
+    written back into the scratch the plan returns)."""
+    rng = np.random.default_rng(16)
+    store = WeightStore()
+    if kind == "conv":
+        layer = ConvLayer(name="l", num_output=2, kernel=(3, 3),
+                          activation=activation)
+        in_shape = (1, 5, 5)
+        store.set("l", "weights",
+                  rng.normal(size=(2, 1, 3, 3)).astype(np.float32))
+    else:
+        layer = FullyConnectedLayer(name="l", num_output=3,
+                                    activation=activation)
+        in_shape = (8, 1, 1)
+        store.set("l", "weights",
+                  rng.normal(size=(3, 8)).astype(np.float32))
+    store.set("l", "bias", rng.normal(size=(layer.num_output,))
+              .astype(np.float32))
+    x = rng.normal(size=(3,) + in_shape).astype(np.float32)
+    got = compile_plan(layer, in_shape, store).run_batch(x)
+    kernel = F.conv2d if kind == "conv" else F.fully_connected
+    fn = {Activation.RELU: F.relu, Activation.SIGMOID: F.sigmoid,
+          Activation.TANH: F.tanh}[activation]
+    want = np.stack([fn(kernel(sample, store.get("l", "weights"),
+                               store.get("l", "bias")))
+                     for sample in x])
+    assert np.array_equal(got.reshape(want.shape), want)
+
+
+def test_scratch_is_one_max_batch_set(zoo_model, zoo_weights):
+    """Batches 8 -> 2 -> 8 -> 1 -> 4 through one plan set replay bit
+    for bit like the oracle, and each plan keeps a single scratch set
+    sized to the largest batch, not one set per batch size."""
+    net = zoo_model("lenet").network
+    planned, oracle = _engines(net, zoo_weights("lenet"))
+    images = _images(net, 8, seed=15)
+    for n in (8, 2, 8, 1, 4):
+        got = planned.run_batch(images[:n])
+        assert np.array_equal(got, oracle.run_batch(images[:n]))
+    plans = [memo[3] for memo in planned._resolved.values()]
+    scratches = [plan._batch.get() for plan in plans
+                 if hasattr(plan, "_batch")]
+    assert {"conv", "max-pool", "fc"} <= {p.kind for p in plans}
+    assert scratches and all(s.capacity == 8 for s in scratches)
+    for scratch in scratches:
+        bufs = [b for b in scratch.get(8) if b is not None]
+        assert all(b.shape[0] == 8 for b in bufs)
+        # a smaller batch is a leading view of the same memory
+        for small, full in zip(scratch.get(2), scratch.get(8)):
+            if full is not None:
+                assert small.base is not None and small.shape[0] == 2
+                assert np.shares_memory(small, full)
 
 
 def test_invalidate_by_store_and_layer():
