@@ -105,7 +105,10 @@ class AcceleratorPerformance:
     stage_latency: list[int]
     #: FLOPs of one forward pass.
     flops_per_image: int
-    #: One-off configuration cycles (weight preload through the datamover).
+    #: One-off configuration cycles: the datamover's weight preload
+    #: (paper §3.1.1).  Not part of :meth:`batch_cycles`; the runtime
+    #: bills it once per host write of the weights buffer, on the next
+    #: kernel launch.
     config_cycles: int
     #: Cycles the DDR interface needs per image (streamed weights,
     #: spilled buffers, network I/O); part of the II when it dominates.
@@ -235,11 +238,6 @@ def _estimate_performance(acc: Accelerator, cal: Calibration,
         config_cycles=config,
         ddr_cycles=ddr,
     )
-
-
-def batch_latency_cycles(perf: AcceleratorPerformance, batch: int) -> int:
-    """Convenience alias used by the Figure 5 bench."""
-    return perf.batch_cycles(batch)
 
 
 def estimate_power_watts(acc: Accelerator,

@@ -1,7 +1,8 @@
 """Dynamic batching: coalesce single requests into bucketed batches.
 
-The batched engine amortizes per-invocation configuration and pipeline
-fill over the batch (``batch_cycles = fill + (n-1)·II``).  A naive
+A kernel launch amortizes the pipeline fill over the batch
+(``batch_cycles = fill + (n-1)·II``; the weight preload is paid once
+per weights write, not per launch).  A naive
 coalescer that flushes whatever happens to be queued would emit every
 batch size from 1 to capacity.  The :class:`DynamicBatcher` instead
 snaps every flush to a small ladder of **buckets** (default 1/2/4/8): a

@@ -200,3 +200,59 @@ class TestConcurrency:
             assert np.array_equal(out, golden_for(fleet, images))
         assert sum(s.submissions for s in fleet.slots) == 8
         assert fleet.stats()["actions"] == {"submission": 8}
+
+
+class TestDeviceBilling:
+    """A receipt's ``device_seconds`` is the launch's pipeline time; the
+    weight preload is billed once, on the first launch after attach or
+    after a repair rewrote the weights."""
+
+    BUCKETS = (1, 2, 4, 8)
+
+    @staticmethod
+    def _warm_slot(image, weights, config=None):
+        aws, result = image
+        clock = VirtualClock()
+        fleet = FleetManager([F1Instance("f1.2xlarge", aws.afi)],
+                             result.agfi_id, weights,
+                             config=config or FleetConfig(scrub_every=0),
+                             clock=clock)
+        assert len(fleet.slots) == 1
+        managed = fleet.slots[0]
+        program = managed.kernel.program
+        perf = program.performance
+        freq = program.accelerator.frequency_hz
+        rng = np.random.default_rng(8)
+        first = fleet.submit(batch_for(fleet, rng, n=1))
+        assert first.device_seconds == \
+            (perf.batch_cycles(1) + perf.config_cycles) / freq
+        return fleet, managed, clock, perf, freq
+
+    def test_served_flushes_bill_pipeline_cycles(self, image, weights):
+        fleet, _, _, perf, freq = self._warm_slot(image, weights)
+        rng = np.random.default_rng(9)
+        for _ in range(2):
+            for bucket in self.BUCKETS:
+                receipt = fleet.submit(batch_for(fleet, rng, n=bucket))
+                assert receipt.device_seconds == \
+                    perf.batch_cycles(bucket) / freq
+
+    def test_recovery_probe_bills_the_preload(self, image, weights):
+        config = FleetConfig(scrub_every=0, failure_threshold=1,
+                             recovery_s=50.0)
+        fleet, managed, clock, perf, freq = self._warm_slot(
+            image, weights, config)
+        managed.breaker.record_failure()
+        assert managed.breaker.state == OPEN
+        clock.sleep(config.recovery_s + 1)
+        rng = np.random.default_rng(10)
+        receipt = fleet.submit(batch_for(fleet, rng, n=4))
+        assert fleet.stats()["actions"]["recovery"] == 1
+        probe, served = [e for e in managed.queue.events
+                         if e.command == "task"][-2:]
+        # _recover rewrote the weights; its golden probe (batch 1)
+        # paid the preload, so the served flush bills its pipeline only
+        assert probe.extra["batch"] == 1
+        assert probe.end_cycles == perf.batch_cycles(1) + perf.config_cycles
+        assert served.end_cycles == perf.batch_cycles(4)
+        assert receipt.device_seconds == perf.batch_cycles(4) / freq

@@ -190,23 +190,114 @@ class TestExecution:
 
 
 class TestPerformanceModel:
+    """What a launch bills: its pipeline cycles, plus ``config_cycles``
+    on the first launch after the host writes the weights buffer (the
+    datamover preloads the PEs once per write, paper §3.1.1)."""
+
+    @staticmethod
+    def _slot(session, emulation):
+        """A queue whose kernel args point at written input and weights
+        buffers sized for batch 8; no launch yet."""
+        context, program, kernel = session
+        net = program.accelerator.network
+        queue = CommandQueue(context, emulation=emulation)
+        images = np.random.default_rng(6).normal(
+            size=(8, 1, 16, 16)).astype(np.float32)
+        in_buf = Buffer(context, Buffer.READ_ONLY, images.nbytes)
+        out_buf = Buffer(context, Buffer.WRITE_ONLY,
+                         8 * net.output_shape().size * 4)
+        packed = pack_weights(net, WeightStore.initialize(net, 5))
+        w_buf = Buffer(context, Buffer.READ_ONLY, packed.nbytes)
+        queue.enqueue_write_buffer(in_buf, images)
+        queue.enqueue_write_buffer(w_buf, packed)
+        for index, value in enumerate((in_buf, out_buf, w_buf, 1)):
+            kernel.set_arg(index, value)
+        return queue, kernel, images, packed
+
+    @staticmethod
+    def _pipeline_cycles(program, kernel, images, batch, emulation):
+        """The launch's cycles without the preload: the analytic model
+        in fast mode, the event simulator's total in event mode."""
+        if emulation == "fast":
+            return program.performance.batch_cycles(batch)
+        from repro.runtime.opencl import _weights_from_buffer
+        from repro.sim.dataflow import simulate_accelerator
+        acc = program.accelerator
+        weights = _weights_from_buffer(acc.network, kernel.args[2].data)
+        return simulate_accelerator(acc, weights,
+                                    images[:batch]).total_cycles
+
     def test_billed_cycles_match_a_fresh_estimate(self, session):
         from repro.hw.perf import estimate_performance
 
-        context, program, kernel = session
+        _, program, _ = session
         acc = build_accelerator(program.model)
         acc.frequency_hz = program.xclbin.frequency_hz
         fresh = estimate_performance(acc)
-        net = program.accelerator.network
-        weights = WeightStore.initialize(net, 5)
+        queue, kernel, _, _ = self._slot(session, "fast")
+        first = queue.enqueue_task(kernel)
+        assert first.end_cycles == \
+            fresh.batch_cycles(1) + fresh.config_cycles
+        # later launches on the same weights bill the pipeline alone
         for batch in range(1, 9):
-            images = np.zeros((batch, 1, 16, 16), dtype=np.float32)
-            event, _, _ = run_batch(context, program, kernel, images,
-                                    weights)
-            assert event.end_cycles == \
-                fresh.batch_cycles(batch) + fresh.config_cycles
+            kernel.set_arg(3, batch)
+            event = queue.enqueue_task(kernel)
+            assert event.end_cycles == fresh.batch_cycles(batch)
             assert event.device_seconds == \
                 event.end_cycles / acc.frequency_hz
+
+    @pytest.mark.parametrize("emulation", ["fast", "event"])
+    def test_preload_billed_once_per_weights_write(self, session,
+                                                   emulation):
+        _, program, _ = session
+        config = program.performance.config_cycles
+        queue, kernel, images, packed = self._slot(session, emulation)
+        pipeline = self._pipeline_cycles(program, kernel, images, 1,
+                                         emulation)
+        assert queue.enqueue_task(kernel).end_cycles == pipeline + config
+        assert queue.enqueue_task(kernel).end_cycles == pipeline
+        # a second host write of the weights re-bills the preload once
+        queue.enqueue_write_buffer(kernel.args[2], packed)
+        assert queue.enqueue_task(kernel).end_cycles == pipeline + config
+        assert queue.enqueue_task(kernel).end_cycles == pipeline
+
+    @pytest.mark.parametrize("emulation", ["fast", "event"])
+    def test_input_writes_bill_no_preload(self, session, emulation):
+        _, program, _ = session
+        queue, kernel, images, _ = self._slot(session, emulation)
+        queue.enqueue_task(kernel)
+        pipeline = self._pipeline_cycles(program, kernel, images, 2,
+                                         emulation)
+        kernel.set_arg(3, 2)
+        for _ in range(2):
+            queue.enqueue_write_buffer(kernel.args[0], images)
+            assert queue.enqueue_task(kernel).end_cycles == pipeline
+
+    @pytest.mark.parametrize("emulation", ["fast", "event"])
+    def test_bitflip_bills_no_preload(self, session, emulation):
+        from repro.resilience import (
+            FaultKind,
+            FaultPlan,
+            FaultSpec,
+            VirtualClock,
+            inject_faults,
+        )
+        context, program, _ = session
+        queue, kernel, images, _ = self._slot(session, emulation)
+        queue.enqueue_task(kernel)
+        w_buf = kernel.args[2]
+        generation = w_buf.generation
+        plan = FaultPlan([FaultSpec("device.*", FaultKind.BITFLIP)],
+                         seed=4)
+        with inject_faults(plan):
+            clocked = CommandQueue(context, emulation=emulation,
+                                   clock=VirtualClock())
+            event = clocked.enqueue_task(kernel)
+        assert plan.total_injected == 1
+        assert w_buf.generation == generation + 1
+        # the flipped buffer is what the launch ran on
+        assert event.end_cycles == self._pipeline_cycles(
+            program, kernel, images, 1, emulation)
 
 
 class TestBuffers:
