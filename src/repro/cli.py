@@ -335,12 +335,9 @@ def cmd_serve(args) -> int:
     """Serve a seeded synthetic load on a simulated fleet."""
     import json as _json
 
-    from repro.cloud.f1 import F1Instance
     from repro.obs import build_manifest, write_manifest
     from repro.resilience.clock import VirtualClock
     from repro.serve import (
-        Autoscaler,
-        AutoscalerConfig,
         InferenceServer,
         LoadSpec,
         ServeConfig,
@@ -360,7 +357,7 @@ def cmd_serve(args) -> int:
     with recording() as recorder:
         # the flow's artifacts (and its own telemetry.json) live one
         # level down, so the serve manifest below cannot clobber them
-        fleet, aws = build_serving_fleet(
+        fleet = build_serving_fleet(
             workdir / "build", args.model, instances=args.instances,
             instance_type=args.instance_type, clock=clock)
         server = InferenceServer(
@@ -370,17 +367,9 @@ def cmd_serve(args) -> int:
                                buckets=buckets,
                                max_queue_depth=args.max_queue),
             clock=clock)
-        autoscaler = None
-        if args.autoscale:
-            def launch() -> F1Instance:
-                return aws.run_f1_instance(args.instance_type)
-            autoscaler = Autoscaler(
-                server, launch,
-                config=AutoscalerConfig(
-                    max_instances=args.max_instances))
         spec = LoadSpec(rate_rps=args.rate, duration_s=args.duration,
                         seed=args.seed, tenants=tenants)
-        report = run_load(server, spec, autoscaler=autoscaler)
+        report = run_load(server, spec)
     doc = report.to_dict()
     manifest = build_manifest(
         recorder=recorder, workdir=workdir,
@@ -413,8 +402,7 @@ def cmd_serve(args) -> int:
               f" padded {doc['padded_samples']}")
         print(f"shed {sum(doc['shed'].values())} ({doc['shed']}) "
               f" failed {doc['failed']} "
-              f" instances {doc['fleet']['instances']} "
-              f" autoscale events {len(doc['autoscale'])}")
+              f" instances {doc['fleet']['instances']}")
     _telemetry_outputs(args, recorder)
     if args.fail_under_rps and \
             doc["throughput_rps"] < args.fail_under_rps:
@@ -845,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="zoo model to build and serve"
                             " (default tc1)")
     serve.add_argument("--instances", type=int, default=2,
-                       help="initial F1 instances (default 2)")
+                       help="F1 instances in the fleet (default 2)")
     serve.add_argument("--instance-type", default="f1.4xlarge",
                        choices=["f1.2xlarge", "f1.4xlarge",
                                 "f1.16xlarge"],
@@ -874,12 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tenant mix; weight shapes the synthetic"
                             " load, quota 0/omitted = unlimited"
                             " (default alpha:3,beta:1)")
-    serve.add_argument("--autoscale", action="store_true",
-                       help="enable the registry-driven autoscaler"
-                            " (queue depth + p99)")
-    serve.add_argument("--max-instances", type=int, default=4,
-                       metavar="N",
-                       help="autoscaler instance ceiling (default 4)")
     serve.add_argument("--report", metavar="PATH",
                        help="also write the JSON load report here")
     serve.add_argument("--format", choices=["text", "json"],

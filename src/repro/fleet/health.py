@@ -55,9 +55,6 @@ class ManagedSlot:
     out_buf: Any = None
     w_buf: Any = None
     busy: bool = False
-    #: Set by ``FleetManager.drain_instance``: the slot takes no new
-    #: work and is detached once its in-flight submission releases.
-    draining: bool = False
     submissions: int = 0
     failures: int = 0
     reloads: int = 0

@@ -149,7 +149,7 @@ class FleetManager:
                  clock: VirtualClock | None = None):
         if not instances:
             raise FleetError("a fleet needs at least one instance")
-        self.instances = list(instances)
+        self.instances = tuple(instances)
         self.agfi_id = agfi_id
         self.config = config if config is not None else FleetConfig()
         self.clock = clock if clock is not None else DEFAULT_CLOCK
@@ -176,22 +176,19 @@ class FleetManager:
         #: and the action tally.  Never held across device work or
         #: metric increments.
         self._lock = new_lock("fleet.manager.FleetManager")
-        #: Pulsed (outside the lock) whenever a slot goes idle or joins
-        #: the rotation, so ``submit(..., wait=True)`` callers blocked
-        #: on an all-busy fleet re-scan promptly.  Waits are bounded,
-        #: so a missed pulse costs latency, never liveness.
+        #: Pulsed (outside the lock) whenever a slot goes idle, so
+        #: ``submit(..., wait=True)`` callers blocked on an all-busy
+        #: fleet re-scan promptly.  Waits are bounded, so a missed
+        #: pulse costs latency, never liveness.
         self._slot_freed = threading.Event()
         self._cursor = 0
         self._actions: Counter[str] = Counter()
-        self.slots: list[ManagedSlot] = []
-        for j, instance in enumerate(self.instances):
-            for slot in instance.slots:
-                self.slots.append(
-                    self._attach(f"i{j}.slot{slot.index}", instance,
-                                 slot))
-        #: Monotonic instance ordinal for slot labels — never reused,
-        #: so labels stay unique across add/drain cycles.
-        self._next_ordinal = len(self.instances)
+        #: Every slot of every instance, fixed at attach: the fleet
+        #: never grows or shrinks, so readers need no lock to walk it.
+        self.slots: tuple[ManagedSlot, ...] = tuple(
+            self._attach(f"i{j}.slot{slot.index}", instance, slot)
+            for j, instance in enumerate(self.instances)
+            for slot in instance.slots)
         self._update_health_gauge()
         _log.info("fleet attached: %d slot(s) across %d instance(s)",
                   len(self.slots), len(self.instances))
@@ -307,13 +304,12 @@ class FleetManager:
     # -- slot selection -----------------------------------------------------
 
     def _next_idle_locked(self) -> ManagedSlot | None:
-        """The next idle, healthy, non-draining slot (lock held)."""
+        """The next idle, healthy slot (lock held)."""
         count = len(self.slots)
         for offset in range(count):
             index = (self._cursor + offset) % count
             managed = self.slots[index]
-            if managed.busy or managed.draining or \
-                    managed.breaker.state == OPEN:
+            if managed.busy or managed.breaker.state == OPEN:
                 continue
             self._cursor = (index + 1) % count
             return managed
@@ -343,8 +339,6 @@ class FleetManager:
     def _release(self, managed: ManagedSlot) -> None:
         with self._lock:
             managed.busy = False
-            if managed.draining:
-                self._reap_drained_locked()
         self._slot_freed.set()
 
     def _record_failure(self, managed: ManagedSlot,
@@ -368,12 +362,9 @@ class FleetManager:
 
     def _heal(self) -> None:
         """Probe every quarantined slot whose recovery window elapsed."""
-        with self._lock:
-            snapshot = list(self.slots)
-        for managed in snapshot:
+        for managed in self.slots:
             with self._lock:
-                if managed.busy or managed.draining or \
-                        managed.breaker.state != HALF_OPEN:
+                if managed.busy or managed.breaker.state != HALF_OPEN:
                     continue
                 managed.busy = True
             try:
@@ -473,91 +464,27 @@ class FleetManager:
                 f"slot {managed.label}: outputs diverge from the golden"
                 " reference; slot repaired")
 
-    # -- elastic capacity ---------------------------------------------------
-
-    def add_instance(self, instance) -> list[str]:
-        """Attach every slot of a new instance and put it in rotation.
-
-        The autoscaler's scale-up verb.  AFI load + weight rewrite
-        happen outside the fleet lock (attach performs no kernel
-        launches); the slots only become acquirable once appended.
-        Returns the new slot labels.
-        """
-        with self._lock:
-            ordinal = self._next_ordinal
-            self._next_ordinal += 1
-        attached = [
-            self._attach(f"i{ordinal}.slot{slot.index}", instance, slot)
-            for slot in instance.slots]
-        with self._lock:
-            self.instances.append(instance)
-            self.slots.extend(attached)
-        self._slot_freed.set()
-        self._update_health_gauge()
-        _log.info("instance %s joined the fleet: %d new slot(s)",
-                  instance.instance_id, len(attached))
-        return [m.label for m in attached]
-
-    def drain_instance(self) -> str:
-        """Remove the most recently added instance from rotation.
-
-        The autoscaler's scale-down verb.  Idle slots detach
-        immediately; busy slots finish their in-flight submission and
-        are reaped on release (no work is ever aborted).  The last
-        instance cannot be drained.  Returns the drained instance id.
-        """
-        with self._lock:
-            if len(self.instances) <= 1:
-                raise FleetError("cannot drain the last fleet instance")
-            instance = self.instances.pop()
-            for managed in self.slots:
-                if managed.instance is instance:
-                    managed.draining = True
-            self._reap_drained_locked()
-        self._update_health_gauge()
-        _log.info("instance %s draining out of the fleet",
-                  instance.instance_id)
-        return instance.instance_id
-
-    def _reap_drained_locked(self) -> None:
-        """Drop idle draining slots from the rotation (lock held)."""
-        keep = [s for s in self.slots if s.busy or not s.draining]
-        if len(keep) != len(self.slots):
-            self.slots[:] = keep
-            self._cursor %= max(1, len(self.slots))
-
     # -- introspection ------------------------------------------------------
 
-    def _snapshot_slots(self) -> "list[ManagedSlot]":
-        """A point-in-time copy of the slot list (it resizes under the
-        lock on ``add_instance``/``drain_instance``)."""
-        with self._lock:
-            return list(self.slots)
-
     def healthy_slot_count(self) -> int:
-        return sum(1 for s in self._snapshot_slots()
-                   if s.breaker.state != OPEN and not s.draining)
+        return sum(1 for s in self.slots if s.breaker.state != OPEN)
 
     def _update_health_gauge(self) -> None:
         _HEALTHY_SLOTS.set(self.healthy_slot_count())
 
     def health(self) -> dict[str, SlotState]:
-        return {s.label: s.health for s in self._snapshot_slots()}
+        return {s.label: s.health for s in self.slots}
 
     def stats(self) -> dict:
         """Deterministic snapshot for reports and manifests."""
         with self._lock:
             actions = dict(sorted(self._actions.items()))
-            snapshot = list(self.slots)
-            instances = len(self.instances)
         return {
-            "instances": instances,
-            "slots": {s.label: s.snapshot() for s in snapshot},
+            "instances": len(self.instances),
+            "slots": {s.label: s.snapshot() for s in self.slots},
             "actions": actions,
-            "healthy_slots": sum(
-                1 for s in snapshot
-                if s.breaker.state != OPEN and not s.draining),
+            "healthy_slots": self.healthy_slot_count(),
             "quarantined": sorted(
-                s.label for s in snapshot
+                s.label for s in self.slots
                 if s.health is SlotState.QUARANTINED),
         }

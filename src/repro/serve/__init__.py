@@ -12,14 +12,12 @@ this package is the reason the AFI exists — serving traffic:
 * :mod:`repro.serve.server` — :class:`InferenceServer`: the request
   path from admission through the batcher onto
   :meth:`FleetManager.submit`, with latency/throughput/shedding
-  published as ``condor_serve_*`` metrics;
-* :mod:`repro.serve.autoscaler` — :class:`Autoscaler`: registry-driven
-  (queue depth, p99) add/drain of fleet instances;
+  published as ``condor_serve_*`` metrics, and the one serving event
+  schedule (:meth:`InferenceServer.advance`);
 * :mod:`repro.serve.loadgen` — the seeded synthetic load generator
   behind ``condor serve``, deterministic on the virtual clock.
 """
 
-from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serve.batcher import (
     DEFAULT_BUCKETS,
     DynamicBatcher,
@@ -42,8 +40,6 @@ from repro.serve.tenants import (
 
 __all__ = [
     "AdmissionController",
-    "Autoscaler",
-    "AutoscalerConfig",
     "DEFAULT_BUCKETS",
     "DEFAULT_TENANTS",
     "DynamicBatcher",

@@ -20,9 +20,10 @@ Two triggers release work, both deterministic on the virtual clock:
   (``slo_s``) is about to elapse: flush whatever is queued, padded up
   to the smallest covering bucket.
 
-The batcher never sleeps and never owns a thread; callers (the serving
-event loop) ask :meth:`next_deadline` when the earliest SLO flush is
-due and drive :meth:`due` at that instant.
+The batcher never sleeps and never owns a thread.
+:meth:`InferenceServer.advance <repro.serve.server.InferenceServer.advance>`
+asks :meth:`next_deadline` when the earliest SLO flush is due and, via
+``InferenceServer.pump``, drives :meth:`due` at that instant.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class ServeRequest:
     completion_s: float | None = None
     #: Bucket the carrying batch was padded to (set at execution).
     bucket: int | None = None
-    #: Why the carrying batch flushed: ``size`` | ``slo`` | ``drain``.
+    #: Why the carrying batch flushed: ``size`` | ``slo``.
     trigger: str | None = None
     error: str | None = None
     extra: dict = field(default_factory=dict)
@@ -143,16 +144,6 @@ class DynamicBatcher:
                 return None
             count = min(len(self._pending), self.max_batch)
             return self._flush_locked(self.bucket_for(count), "slo")
-
-    def drain(self) -> list[Flush]:
-        """Flush everything queued (shutdown / end of load)."""
-        flushes = []
-        with self._lock:
-            while self._pending:
-                count = min(len(self._pending), self.max_batch)
-                flushes.append(
-                    self._flush_locked(self.bucket_for(count), "drain"))
-        return flushes
 
     def _flush_locked(self, bucket: int, trigger: str) -> Flush:
         taken = tuple(self._pending.popleft()

@@ -2,31 +2,35 @@
 
 The generator draws a Poisson arrival process (exponential
 inter-arrival gaps) and a weighted tenant mix from one seeded RNG, then
-drives the server as a deterministic three-source event loop: arrivals,
-batcher SLO deadlines and autoscaler ticks, always executed in virtual
--time order.  Nothing sleeps on the wall clock, so "four seconds" of
-2000 req/s traffic replays in well under a real second and two runs
-with the same spec produce byte-identical reports.
+walks the arrivals in virtual-time order.  Before each arrival it calls
+:meth:`InferenceServer.advance
+<repro.serve.server.InferenceServer.advance>`, which runs the server's
+own event schedule (the batcher's SLO deadlines) up to that instant;
+``advance(math.inf)`` flushes the tail.  Nothing sleeps on the wall
+clock, so "four seconds" of 2000 req/s traffic replays in well under a
+real second and two runs with the same spec produce byte-identical
+reports.
 
 :func:`build_serving_fleet` stands up the fleet it serves on: the
 model's AFI comes from one Condor flow run (``CondorFlow.run``, paper
-steps 1-8), its weights are the run's weights, and instances launch
-from the run's AWS session.
+steps 1-8), its weights are the run's weights, and its fixed set of
+instances launches from the run's AWS session.
 
 The :class:`LoadReport` is the deliverable the ROADMAP names: sustained
 requests/sec plus p50/p95/p99 latency (from the server's
 :class:`~repro.obs.QuantileSketch`), shed/failed counts, the batch-size
-histogram that shows coalescing at work, and every autoscaler action.
+histogram that shows coalescing at work, and the fleet's health
+snapshot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.cloud.client import AWSSession
 from repro.errors import ShedError
 from repro.fleet import FleetConfig, FleetManager, servable_model
 from repro.flow.condor import CondorFlow, FlowInputs
@@ -76,7 +80,6 @@ class LoadReport:
     triggers: dict
     padded_samples: int
     tenants: dict
-    autoscale: list
     fleet: dict
     #: Populated only with ``keep_requests=True`` (tests/benches).
     requests: list = field(default_factory=list, repr=False)
@@ -97,7 +100,6 @@ class LoadReport:
             "triggers": self.triggers,
             "padded_samples": self.padded_samples,
             "tenants": self.tenants,
-            "autoscale": self.autoscale,
             "fleet": self.fleet,
         }
 
@@ -106,14 +108,13 @@ def build_serving_fleet(workdir: Path | str, model_name: str = "tc1",
                         *, instances: int = 2,
                         instance_type: str = "f1.4xlarge",
                         config: FleetConfig | None = None,
-                        clock=None) -> tuple[FleetManager, AWSSession]:
+                        clock=None) -> FleetManager:
     """Build a zoo model's AFI and stand up a fleet ready to serve it.
 
     The AFI comes from a Condor flow run in ``workdir`` — the same
-    pipeline ``condor build --deploy aws-f1`` runs.  Returns
-    ``(fleet, aws_session)``: the session is what an autoscaler's
-    launch hook needs to spin up more instances against the same
-    image.  The default fleet policy disables periodic scrubbing
+    pipeline ``condor build --deploy aws-f1`` runs — and ``instances``
+    F1 instances launched from that run's AWS session are loaded with
+    it.  The default fleet policy disables periodic scrubbing
     (``scrub_every=0``): serving doubles throughput instead of paying a
     golden check every fourth batch, and ``verify=True`` spot checks
     remain available.
@@ -122,11 +123,10 @@ def build_serving_fleet(workdir: Path | str, model_name: str = "tc1",
     result = flow.run(FlowInputs(model=servable_model(model_name)))
     fleet_config = config if config is not None \
         else FleetConfig(scrub_every=0)
-    fleet = FleetManager(
+    return FleetManager(
         [flow.aws.run_f1_instance(instance_type)
          for _ in range(instances)],
         result.agfi_id, result.weights, config=fleet_config, clock=clock)
-    return fleet, flow.aws
 
 
 def _arrivals(spec: LoadSpec, start_s: float, rng) \
@@ -145,7 +145,7 @@ def _arrivals(spec: LoadSpec, start_s: float, rng) \
         schedule.append((now, tenant, int(rng.integers(spec.image_pool))))
 
 
-def run_load(server, spec: LoadSpec, *, autoscaler=None,
+def run_load(server, spec: LoadSpec, *,
              keep_requests: bool = False) -> LoadReport:
     """Drive ``server`` through ``spec`` on its virtual clock."""
     clock = server.clock
@@ -155,36 +155,12 @@ def run_load(server, spec: LoadSpec, *, autoscaler=None,
     pool = rng.standard_normal(
         (spec.image_pool,) + shape).astype(np.float32)
     schedule = _arrivals(spec, start, rng)
-    interval = autoscaler.config.interval_s if autoscaler else None
-    next_tick = start + interval if interval is not None else None
     requests = []
     shed: dict[str, int] = {}
     tenants = {t.name: {"offered": 0, "completed": 0, "shed": 0}
                for t in spec.tenants}
-
-    def fire_until(limit: float) -> None:
-        """Run every deadline/tick event at or before ``limit``."""
-        nonlocal next_tick
-        while True:
-            events = []
-            deadline = server.batcher.next_deadline()
-            if deadline is not None and deadline <= limit:
-                events.append((deadline, "pump"))
-            if next_tick is not None and next_tick <= limit:
-                events.append((next_tick, "tick"))
-            if not events:
-                return
-            when, kind = min(events)
-            if when > clock.now:
-                clock.sleep(when - clock.now)
-            if kind == "pump":
-                server.pump(when)
-            else:
-                autoscaler.evaluate(when)
-                next_tick = when + interval
-
     for when, tenant, index in schedule:
-        fire_until(when)
+        server.advance(when)
         if when > clock.now:
             clock.sleep(when - clock.now)
         tenants[tenant]["offered"] += 1
@@ -194,11 +170,7 @@ def run_load(server, spec: LoadSpec, *, autoscaler=None,
             shed[exc.reason] = shed.get(exc.reason, 0) + 1
             tenants[tenant]["shed"] += 1
     # Tail: the last partial batches flush at their SLO deadlines.
-    while True:
-        deadline = server.batcher.next_deadline()
-        if deadline is None:
-            break
-        fire_until(deadline)
+    server.advance(math.inf)
     completed = [r for r in requests if r.ok]
     for request in completed:
         tenants[request.tenant]["completed"] += 1
@@ -231,9 +203,6 @@ def run_load(server, spec: LoadSpec, *, autoscaler=None,
         triggers=stats["triggers"],
         padded_samples=stats["padded_samples"],
         tenants=tenants,
-        autoscale=[{"t": t, "direction": d, "detail": detail}
-                   for t, d, detail in
-                   (autoscaler.events if autoscaler else [])],
         fleet=server.fleet.stats(),
         requests=requests if keep_requests else [],
     )

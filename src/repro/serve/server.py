@@ -14,13 +14,14 @@ starts on the earliest-free lane at ``max(now, lane_free)`` and
 completes ``device_seconds`` (the fleet receipt's modeled execution
 time) later.  Request latency is completion minus arrival — queueing
 delay, batching delay and device time all included — and feeds both the
-``condor_serve_latency_seconds`` summary in the metrics registry (the
-autoscaler's p99 signal) and a local
-:class:`~repro.obs.QuantileSketch` for load reports.
+``condor_serve_latency_seconds`` summary in the metrics registry and a
+local :class:`~repro.obs.QuantileSketch` for load reports.
 
-The server owns no thread: callers drive it (``submit`` on arrivals,
-``pump`` at batcher deadlines, ``drain`` at shutdown), which keeps
-every flush decision deterministic under the
+The server owns no thread and holds the one serving event schedule:
+callers ``submit`` on arrivals and call :meth:`InferenceServer.advance`
+to move virtual time forward, which walks the batcher's SLO deadlines
+in order and calls ``pump`` at each one.  Every flush decision is
+therefore deterministic under the
 :class:`~repro.resilience.clock.VirtualClock`.
 """
 
@@ -42,7 +43,7 @@ from repro.serve.batcher import (
     Flush,
     ServeRequest,
 )
-from repro.serve.tenants import AdmissionController, TenantSpec
+from repro.serve.tenants import AdmissionController
 
 __all__ = ["InferenceServer", "ServeConfig"]
 
@@ -162,14 +163,22 @@ class InferenceServer:
                              server=self.config.name)
         return executed
 
-    def drain(self, now: float | None = None) -> int:
-        """Flush everything still queued (end of load / shutdown)."""
-        now = self.clock.now if now is None else now
-        flushes = self.batcher.drain()
-        for flush in flushes:
-            self._execute(flush, now)
-        _QUEUE_DEPTH.set(self.batcher.depth, server=self.config.name)
-        return len(flushes)
+    def advance(self, until: float) -> int:
+        """Run every batcher deadline at or before ``until``, in order.
+
+        The clock sleeps to each deadline and :meth:`pump` flushes what
+        is due there, so ``advance(math.inf)`` flushes the whole queue.
+        An empty queue leaves the clock where it is.  Returns the
+        number of flushes executed.
+        """
+        executed = 0
+        while True:
+            deadline = self.batcher.next_deadline()
+            if deadline is None or deadline > until:
+                return executed
+            if deadline > self.clock.now:
+                self.clock.sleep(deadline - self.clock.now)
+            executed += self.pump(deadline)
 
     # -- execution ----------------------------------------------------------
 
@@ -216,28 +225,6 @@ class InferenceServer:
         _BATCHES.inc(trigger=flush.trigger, size=str(flush.bucket))
         if flush.padding:
             _PADDED.inc(flush.padding)
-
-    # -- autoscaler plumbing ------------------------------------------------
-
-    def sync_lanes(self, now: float | None = None) -> int:
-        """Resize the lane model after fleet capacity changed."""
-        now = self.clock.now if now is None else now
-        with self._lock:
-            current = len(self.fleet.slots)
-            while len(self._lanes) < current:
-                self._lanes.append(now)
-            if len(self._lanes) > current:
-                del self._lanes[current:]
-        _SLOTS.set(current, server=self.config.name)
-        return current
-
-    def backlog_s(self, now: float | None = None) -> float:
-        """Modeled seconds until the busiest lane goes idle."""
-        now = self.clock.now if now is None else now
-        with self._lock:
-            if not self._lanes:
-                return 0.0
-            return max(0.0, max(self._lanes) - now)
 
     # -- introspection ------------------------------------------------------
 

@@ -9,7 +9,7 @@ which is rate-balanced: with builder-chosen depths the producer never
 blocks, so any stall is attributable to the FIFO under test.  (A full
 network with a slow classifier back-pressures its producers through any
 FIFO depth, which would confound the measurement.)  A linear pipeline
-keeps draining, so the stall — not a full cyclic deadlock — is the
+keeps flowing, so the stall — not a full cyclic deadlock — is the
 observable symptom; a true cyclic wait would raise ``DeadlockError``.
 """
 

@@ -9,7 +9,6 @@ inversion or an unguarded-state race in the acquire/release path is a
 test failure here, not a latent production bug.
 """
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -85,46 +84,3 @@ class TestConcurrentSubmitters:
             slot.busy = False
         assert fleet.submit(images, wait=False).attempts == 1
 
-    def test_waiters_survive_elastic_resizing(self, image, weights):
-        """submit(wait=True) racing add_instance/drain_instance."""
-        fleet = make_fleet(image, weights, count=2)
-        aws, _ = image
-        shape = fleet.net.input_shape().as_tuple()
-        rng = np.random.default_rng(44)
-        batches = [
-            [rng.standard_normal((2,) + shape).astype(np.float32)
-             for _ in range(PER_THREAD)]
-            for _ in range(THREADS)]
-        goldens = [[fleet.golden.forward_batch(b).reshape(2, -1)
-                    for b in thread_batches]
-                   for thread_batches in batches]
-        stop = threading.Event()
-
-        def resizer():
-            while not stop.is_set():
-                labels = fleet.add_instance(
-                    F1Instance("f1.4xlarge", aws.afi))
-                assert labels
-                fleet.drain_instance()
-
-        def worker(thread_batches):
-            return [fleet.submit(b, wait=True)
-                    for b in thread_batches]
-
-        resize_thread = threading.Thread(target=resizer)
-        resize_thread.start()
-        try:
-            with ThreadPoolExecutor(max_workers=THREADS) as pool:
-                receipts = list(pool.map(worker, batches))
-        finally:
-            stop.set()
-            resize_thread.join()
-
-        for thread_receipts, thread_goldens in zip(receipts, goldens):
-            for receipt, golden in zip(thread_receipts, thread_goldens):
-                assert np.array_equal(receipt.outputs, golden)
-        total = THREADS * PER_THREAD
-        assert fleet.stats()["actions"]["submission"] == total
-        assert not any(s.busy for s in fleet.slots)
-        # drained slots all reaped once their submissions released
-        assert len(fleet.slots) == 2 * len(fleet.instances)

@@ -83,26 +83,3 @@ class TestSloTrigger:
         assert batcher.next_deadline() is None
         assert batcher.due(1e9) is None
 
-
-class TestDrain:
-    def test_drain_flushes_everything_in_fifo_chunks(self):
-        batcher = DynamicBatcher(buckets=(1, 2, 4, 8))
-        for i in range(5):
-            batcher.offer(request(i))
-        flushes = batcher.drain()
-        assert [f.trigger for f in flushes] == ["drain"]
-        assert flushes[0].bucket == 8
-        assert flushes[0].padding == 3
-        assert [r.request_id for r in flushes[0].requests] == \
-            [0, 1, 2, 3, 4]
-        assert batcher.depth == 0
-
-    def test_drain_chunks_at_max_batch(self):
-        batcher = DynamicBatcher(buckets=(1, 2))
-        for i in range(5):
-            flush = batcher.offer(request(i))
-            if flush is not None:  # size flushes at depth 2
-                assert flush.bucket == 2
-        flushes = batcher.drain()
-        assert [f.bucket for f in flushes] == [1]
-        assert batcher.depth == 0

@@ -67,14 +67,6 @@ class TestServeCommand:
         assert code == 1
         assert "--fail-under-rps" in captured.err
 
-    def test_autoscale_flag_runs(self, tmp_path, capsys):
-        code, captured = run_serve(
-            tmp_path, capsys, "--format", "json", "--instances", "1",
-            "--autoscale", "--max-instances", "2")
-        assert code == 0
-        doc = json.loads(captured.out)
-        assert "autoscale" in doc
-
     def test_bad_buckets_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["serve", "--model", "vgg16"])  # not servable

@@ -1,15 +1,11 @@
-"""The seeded load generator: determinism, the ROADMAP demo numbers,
-quota shedding and autoscaler integration — all on the virtual clock."""
+"""The seeded load generator: determinism, the ROADMAP demo numbers and
+quota shedding — all on the virtual clock."""
 
 import json
-
-import pytest
 
 from repro.resilience.boundary import reset_breakers
 from repro.resilience.clock import VirtualClock
 from repro.serve import (
-    Autoscaler,
-    AutoscalerConfig,
     InferenceServer,
     LoadSpec,
     ServeConfig,
@@ -19,22 +15,11 @@ from repro.serve import (
 )
 
 
-def serve_tc1(workdir, name, spec, *, instances=2,
-              instance_type="f1.4xlarge", config=None,
-              autoscale=None):
-    clock = VirtualClock()
-    fleet, aws = build_serving_fleet(
-        workdir, "tc1", instances=instances,
-        instance_type=instance_type, clock=clock)
-    server = InferenceServer(
-        fleet, spec.tenants,
-        config=config if config is not None else ServeConfig(name=name))
-    scaler = None
-    if autoscale is not None:
-        scaler = Autoscaler(
-            server, lambda: aws.run_f1_instance(instance_type),
-            config=autoscale)
-    return run_load(server, spec, autoscaler=scaler)
+def serve_tc1(workdir, name, spec):
+    fleet = build_serving_fleet(workdir, "tc1", clock=VirtualClock())
+    server = InferenceServer(fleet, spec.tenants,
+                             config=ServeConfig(name=name))
+    return run_load(server, spec)
 
 
 class TestDeterminism:
@@ -78,7 +63,7 @@ class TestDemoNumbers:
     def test_requests_kept_only_on_demand(self, server_name, tmp_path):
         spec = LoadSpec(rate_rps=1000.0, duration_s=0.2, seed=1)
         clock = VirtualClock()
-        fleet, _ = build_serving_fleet(tmp_path, "tc1", clock=clock)
+        fleet = build_serving_fleet(tmp_path, "tc1", clock=clock)
         server = InferenceServer(
             fleet, spec.tenants, config=ServeConfig(name=server_name))
         report = run_load(server, spec, keep_requests=True)
@@ -101,32 +86,3 @@ class TestShedding:
         assert report.completed < report.offered
         assert report.completed <= 100.0 * spec.duration_s + 4 + 8
 
-
-class TestAutoscaleIntegration:
-    def test_saturation_scales_the_fleet_up(self, server_name, tmp_path):
-        # one single-slot instance serves tc1 at ~39k images/s; an
-        # offered 100k req/s saturates it and p99 blows the watermark
-        autoscale = AutoscalerConfig(interval_s=0.01, cooldown_s=0.02,
-                                     depth_high=512, p99_high_s=0.020,
-                                     idle_evals=4, max_instances=4)
-        spec = LoadSpec(rate_rps=100000.0, duration_s=0.05, seed=3)
-        report = serve_tc1(tmp_path, server_name, spec, instances=1,
-                           instance_type="f1.2xlarge",
-                           autoscale=autoscale)
-        ups = [e for e in report.autoscale if e["direction"] == "up"]
-        assert ups, report.autoscale
-        assert report.fleet["instances"] > 1
-        assert report.completed == report.offered
-
-    def test_report_records_autoscale_timeline(self, server_name, tmp_path):
-        autoscale = AutoscalerConfig(interval_s=0.01, cooldown_s=0.02,
-                                     depth_high=512, p99_high_s=0.020,
-                                     idle_evals=4, max_instances=2)
-        spec = LoadSpec(rate_rps=100000.0, duration_s=0.03, seed=4)
-        report = serve_tc1(tmp_path, server_name, spec, instances=1,
-                           instance_type="f1.2xlarge",
-                           autoscale=autoscale)
-        for event in report.autoscale:
-            assert set(event) == {"t", "direction", "detail"}
-            assert event["direction"] in ("up", "down")
-            assert event["t"] == pytest.approx(event["t"])

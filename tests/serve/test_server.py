@@ -7,6 +7,8 @@ zoo-wide cases run on the engine-backed :class:`StubFleet`; one case
 runs the full path over a real tc1 fleet.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -143,8 +145,6 @@ class TestFailureAndLanes:
         # the second flush queued behind the first on the only lane
         assert second.completion_s == pytest.approx(2e-4)
         assert second.latency_s == pytest.approx(2e-4)
-        assert server.backlog_s(0.0) == pytest.approx(2e-4)
-        assert server.backlog_s(1.0) == 0.0
 
     def test_metrics_land_in_the_registry(self, server_name):
         fleet = StubFleet("tc1")
@@ -160,6 +160,37 @@ class TestFailureAndLanes:
             "condor_serve_queue_depth_count",
             "Requests waiting in the batcher, per server")
         assert depth.value(server=server_name) == 0.0
+
+
+class TestEventSchedule:
+    def test_advance_flushes_each_deadline_in_order(self, server_name):
+        fleet = StubFleet("tc1", slots=1, device_seconds=1e-4)
+        server = make_server(fleet, server_name, slo_s=0.010)
+        clock = server.clock
+        pool = images_for(fleet, np.random.default_rng(19), 2)
+        assert server.advance(1.0) == 0  # empty queue: clock stays
+        assert clock.now == 0.0
+        first = server.submit("alpha", pool[0], now=0.0)
+        assert server.advance(0.005) == 0  # before the first deadline
+        assert clock.now == 0.0
+        # arrivals walk the clock the way run_load does: advance to the
+        # arrival, then submit; the second deadline lies past 0.015
+        assert server.advance(0.015) == 1
+        assert clock.now == first.deadline_s
+        assert first.trigger == "slo"
+        assert first.completion_s == pytest.approx(first.deadline_s + 1e-4)
+        second = server.submit("alpha", pool[1], now=0.015)
+        assert first.deadline_s < 0.015 < second.deadline_s
+        assert server.advance(0.020) == 0
+        assert second.completion_s is None
+        assert server.advance(math.inf) == 1
+        assert clock.now == pytest.approx(second.deadline_s)
+        assert second.completion_s == \
+            pytest.approx(second.deadline_s + 1e-4)
+        now = clock.now
+        assert server.advance(math.inf) == 0  # drained: clock stays
+        assert clock.now == now
+        assert fleet.batch_sizes == [1, 1]
 
 
 class TestRealFleetServing:
