@@ -398,8 +398,10 @@ def cmd_serve(args) -> int:
               f" p95 {ms(latency['p95_s'])} "
               f" p99 {ms(latency['p99_s'])} "
               f" max {ms(latency['max_s'])}")
-        print(f"batches {doc['batches']} triggers {doc['triggers']}"
-              f" padded {doc['padded_samples']}")
+        print(f"batches {doc['batches']}"
+              f" padded {doc['padded_samples']}"
+              f" slo missed {doc['slo_missed']}"
+              f" (over {args.slo_ms:g}ms)")
         print(f"shed {sum(doc['shed'].values())} ({doc['shed']}) "
               f" failed {doc['failed']} "
               f" instances {doc['fleet']['instances']}")
@@ -848,7 +850,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arrival-process seed (default 0)")
     serve.add_argument("--slo-ms", type=float, default=10.0,
                        metavar="MS",
-                       help="batching latency budget (default 10ms)")
+                       help="per-request latency budget; requests"
+                            " finishing later are reported as slo"
+                            " missed, no flush waits on it"
+                            " (default 10ms)")
     serve.add_argument("--buckets", default="1,2,4,8",
                        metavar="B1,B2",
                        help="batch-size ladder flushes snap to"

@@ -5,7 +5,8 @@ Every :class:`~repro.flow.condor.CondorFlow` run writes a
 durations (the *same* numbers carried by
 :class:`~repro.flow.condor.FlowResult` — both read the spans), a metrics
 snapshot, the resource-estimate / performance numbers, the artifacts the
-run left behind, and process stats (peak RSS, span count).  That file is
+run left behind, and process stats (peak RSS, spans retained and
+spans dropped by the recorder's ring).  That file is
 the machine-readable record later benchmarking sessions diff against.
 """
 
@@ -123,6 +124,8 @@ def build_manifest(*, recorder: SpanRecorder | None,
         "process": {
             "peak_rss_bytes": peak_rss_bytes(),
             "span_count": len(recorder) if recorder is not None else 0,
+            "spans_dropped":
+                recorder.dropped if recorder is not None else 0,
         },
         "steps": list(steps),
         "spans": recorder.span_tree() if recorder is not None else [],

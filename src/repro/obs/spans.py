@@ -31,6 +31,7 @@ import itertools
 import os
 import threading
 import time
+from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
@@ -40,6 +41,7 @@ from repro.util.sync import new_lock
 
 __all__ = [
     "DISABLE_ENV",
+    "MAX_SPANS",
     "Span",
     "SpanRecorder",
     "current_span",
@@ -57,6 +59,12 @@ __all__ = [
 #: sampler never starts.  Explicitly constructed private registries
 #: keep working.
 DISABLE_ENV = "REPRO_NO_OBS"
+
+#: Finished spans a :class:`SpanRecorder` keeps; older ones are dropped.
+#: The largest flow run records about 270 spans, so a flow's span tree
+#: stays whole, while a serving session's memory and manifest stop
+#: growing with traffic.
+MAX_SPANS = 512
 
 
 def obs_disabled() -> bool:
@@ -143,22 +151,26 @@ class Span:
 class SpanRecorder:
     """Collects finished spans (in completion order).
 
-    Alongside the raw span list the recorder feeds one streaming
+    ``spans`` is a ring of the newest :data:`MAX_SPANS` finished spans;
+    ``dropped`` counts the older ones it evicted.  Every span, kept or
+    not, also feeds one streaming
     :class:`~repro.obs.quantiles.QuantileSketch` per span name, so
     p50/p95/p99 per operation are available (``summaries()``) without
-    re-walking — or even keeping — every span of a long-running
-    process.  ``_close`` may be called from worker threads (spans
-    propagated via ``contextvars.copy_context``); the internal lock
-    keeps both structures consistent.
+    keeping every span of a long-running process.  ``_close`` may be
+    called from worker threads (spans propagated via
+    ``contextvars.copy_context``); the internal lock keeps the ring,
+    the counter and the sketches consistent.
     """
 
     def __init__(self) -> None:
-        self.spans: list[Span] = []
+        self.spans: deque[Span] = deque(maxlen=MAX_SPANS)
+        self.dropped = 0
         self._ids = itertools.count(1)
         self._lock = new_lock("obs.spans.SpanRecorder")
         self._sketches: dict[str, QuantileSketch] = {}
 
     def __len__(self) -> int:
+        """Spans retained (at most :data:`MAX_SPANS`)."""
         with self._lock:
             return len(self.spans)
 
@@ -184,6 +196,8 @@ class SpanRecorder:
         sp.end_perf = time.perf_counter()
         sp.end_cpu = time.process_time()
         with self._lock:
+            if len(self.spans) == MAX_SPANS:
+                self.dropped += 1
             self.spans.append(sp)
             sketch = self._sketches.get(sp.name)
             if sketch is None:
@@ -193,7 +207,7 @@ class SpanRecorder:
     # -- queries --------------------------------------------------------------
 
     def _spans_view(self) -> list[Span]:
-        """A consistent copy of the finished-span list.
+        """A consistent copy of the retained spans.
 
         Queries may run while worker threads are still closing spans;
         snapshotting under the lock keeps iteration safe without
@@ -229,15 +243,7 @@ class SpanRecorder:
             kids.setdefault(sp.parent_id, []).append(sp)
         for siblings in kids.values():
             siblings.sort(key=lambda s: s.start_perf)
-
-        def node(sp: Span) -> dict[str, Any]:
-            out = sp.to_dict()
-            children = kids.get(sp.span_id)
-            if children:
-                out["children"] = [node(k) for k in children]
-            return out
-
-        return [node(r) for r in kids.get(None, [])]
+        return [_tree_node(r, kids) for r in kids.get(None, [])]
 
     def sketch(self, name: str) -> QuantileSketch | None:
         """The streaming duration sketch for one span name."""
@@ -250,6 +256,22 @@ class SpanRecorder:
         with self._lock:
             return {name: self._sketches[name].snapshot()
                     for name in sorted(self._sketches)}
+
+
+def _tree_node(sp: Span, kids: dict[int | None, list[Span]]) \
+        -> dict[str, Any]:
+    """``sp`` and its descendants as nested dicts.
+
+    A module function rather than a closure inside ``span_tree``: a
+    recursive closure refers to itself through its own cell, and that
+    cycle would keep ``kids`` — every span — alive until a full
+    garbage collection.
+    """
+    out = sp.to_dict()
+    children = kids.get(sp.span_id)
+    if children:
+        out["children"] = [_tree_node(k, kids) for k in children]
+    return out
 
 
 def current_recorder() -> SpanRecorder | None:

@@ -4,7 +4,8 @@ The paper's deployment story ends with an AFI loaded on an F1 slot;
 this package is the reason the AFI exists — serving traffic:
 
 * :mod:`repro.serve.batcher` — :class:`DynamicBatcher`: coalesce
-  single requests into bucket-sized batches under a latency SLO, so
+  single requests into bucket-sized batches, released as soon as a
+  lane is free, so requests batch only while every lane is busy and
   steady-state serving runs a fixed ladder of batch sizes;
 * :mod:`repro.serve.tenants` — token-bucket quotas and the admission
   controller that degrades to typed load shedding

@@ -12,18 +12,20 @@ known device time, the per-bucket telemetry stays a handful of
 series, and a warm-up of one batch per bucket per slot covers every
 shape the fleet will run.
 
-Two triggers release work, both deterministic on the virtual clock:
+One work-conserving rule releases work: **a queued request is
+dispatched as soon as a lane is free.**  The flush takes whatever is
+queued, oldest first, up to the largest bucket, padded to the smallest
+covering bucket.  While every lane is busy the queue is held, so
+requests coalesce only when batching buys throughput; an earlier flush
+onto a busy lane would start no sooner.  At low load every request
+therefore runs alone at its arrival, and at high load the queue fills
+the largest bucket while the lanes drain.
 
-* **size** — the queue reached the largest bucket: flush immediately,
-  no padding needed;
-* **slo** — the *oldest* queued request's latency budget
-  (``slo_s``) is about to elapse: flush whatever is queued, padded up
-  to the smallest covering bucket.
-
-The batcher never sleeps and never owns a thread.
+The batcher never sleeps, never owns a thread and knows nothing of the
+fleet: :meth:`due` is told when the earliest lane is free.
 :meth:`InferenceServer.advance <repro.serve.server.InferenceServer.advance>`
-asks :meth:`next_deadline` when the earliest SLO flush is due and, via
-``InferenceServer.pump``, drives :meth:`due` at that instant.
+walks the lane-free instants and, via ``InferenceServer.pump``, calls
+:meth:`due` at each one.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,14 +55,12 @@ class ServeRequest:
     image: np.ndarray
     arrival_s: float
     request_id: int
-    #: Absolute virtual time by which this request should be flushed.
-    deadline_s: float
     output: np.ndarray | None = None
+    #: Virtual time the carrying batch went to the fleet.
+    dispatch_s: float | None = None
     completion_s: float | None = None
     #: Bucket the carrying batch was padded to (set at execution).
     bucket: int | None = None
-    #: Why the carrying batch flushed: ``size`` | ``slo``.
-    trigger: str | None = None
     error: str | None = None
     extra: dict = field(default_factory=dict)
 
@@ -80,7 +81,9 @@ class Flush:
 
     requests: tuple[ServeRequest, ...]
     bucket: int
-    trigger: str
+    #: The rule that released the batch: a lane was free.  It is the
+    #: only rule, so every flush carries the same value.
+    trigger: ClassVar[str] = "lane"
 
     @property
     def padding(self) -> int:
@@ -89,16 +92,13 @@ class Flush:
 
 
 class DynamicBatcher:
-    """Lock-guarded FIFO coalescer with bucketed, SLO-bounded flushes."""
+    """Lock-guarded FIFO coalescer with bucketed, work-conserving
+    flushes."""
 
-    def __init__(self, *, slo_s: float = 0.010,
-                 buckets: tuple[int, ...] = DEFAULT_BUCKETS):
-        if slo_s <= 0:
-            raise ServeError(f"batching SLO must be positive, got {slo_s}")
+    def __init__(self, *, buckets: tuple[int, ...] = DEFAULT_BUCKETS):
         ladder = tuple(sorted(set(int(b) for b in buckets)))
         if not ladder or ladder[0] < 1:
             raise ServeError(f"invalid bucket ladder {buckets!r}")
-        self.slo_s = float(slo_s)
         self.buckets = ladder
         self.max_batch = ladder[-1]
         self._lock = new_lock("serve.batcher.DynamicBatcher")
@@ -119,33 +119,22 @@ class DynamicBatcher:
                 f" (ladder {self.buckets})")
         return self.buckets[index]
 
-    def offer(self, request: ServeRequest) -> Flush | None:
-        """Queue one admitted request; a full largest bucket flushes
-        immediately (the *size* trigger — zero padding by
-        construction)."""
-        request.deadline_s = request.arrival_s + self.slo_s
+    def offer(self, request: ServeRequest) -> None:
+        """Queue one admitted request; :meth:`due` releases it."""
         with self._lock:
             self._pending.append(request)
-            if len(self._pending) >= self.max_batch:
-                return self._flush_locked(self.max_batch, "size")
-        return None
 
-    def next_deadline(self) -> float | None:
-        """Virtual time of the earliest SLO-triggered flush, if any."""
-        with self._lock:
-            if not self._pending:
-                return None
-            return self._pending[0].deadline_s
+    def due(self, now: float, lane_free_s: float) -> Flush | None:
+        """Release the head of the queue if a lane is free at ``now``.
 
-    def due(self, now: float) -> Flush | None:
-        """Flush if the oldest request's SLO deadline has arrived."""
+        ``lane_free_s`` is the instant the earliest lane frees.  The
+        flush takes the oldest requests, up to the largest bucket,
+        snapped to the smallest covering bucket.  With nothing queued,
+        or every lane busy (``lane_free_s > now``), the queue is held.
+        """
         with self._lock:
-            if not self._pending or self._pending[0].deadline_s > now:
+            if not self._pending or lane_free_s > now:
                 return None
             count = min(len(self._pending), self.max_batch)
-            return self._flush_locked(self.bucket_for(count), "slo")
-
-    def _flush_locked(self, bucket: int, trigger: str) -> Flush:
-        taken = tuple(self._pending.popleft()
-                      for _ in range(min(len(self._pending), bucket)))
-        return Flush(requests=taken, bucket=bucket, trigger=trigger)
+            taken = tuple(self._pending.popleft() for _ in range(count))
+        return Flush(requests=taken, bucket=self.bucket_for(count))

@@ -9,20 +9,25 @@ submission inherits the fleet's watchdogs, scrubbing and failover for
 free.
 
 Time is entirely virtual.  The server models its fleet as a set of
-**lanes** (one per managed slot): a flush dispatched at virtual ``now``
-starts on the earliest-free lane at ``max(now, lane_free)`` and
-completes ``device_seconds`` (the fleet receipt's modeled execution
-time) later.  Request latency is completion minus arrival — queueing
-delay, batching delay and device time all included — and feeds both the
-``condor_serve_latency_seconds`` summary in the metrics registry and a
-local :class:`~repro.obs.QuantileSketch` for load reports.
+**lanes** (one per managed slot), each free from some instant on.
+Dispatch is work-conserving: a queued request goes to the fleet as
+soon as a lane is free, and a flush dispatched at virtual ``now``
+takes a free lane and completes ``device_seconds`` (the fleet
+receipt's modeled execution time) later.  While every lane is busy
+the batcher holds the queue, so no request ever waits on a lane:
+completion minus device time is the dispatch time.  Request latency
+is completion minus arrival — batch wait plus device time — and feeds
+both the ``condor_serve_latency_seconds`` summary in the metrics
+registry and a local :class:`~repro.obs.QuantileSketch` for load
+reports.  ``ServeConfig.slo_s`` times no flush; requests that finish
+later than it are counted as ``slo_missed``.
 
 The server owns no thread and holds the one serving event schedule:
-callers ``submit`` on arrivals and call :meth:`InferenceServer.advance`
-to move virtual time forward, which walks the batcher's SLO deadlines
-in order and calls ``pump`` at each one.  Every flush decision is
-therefore deterministic under the
-:class:`~repro.resilience.clock.VirtualClock`.
+callers ``submit`` on arrivals (which dispatches at once onto an idle
+lane) and call :meth:`InferenceServer.advance` to move virtual time
+forward, which walks the lane-free instants in order and calls
+``pump`` at each one.  Every flush decision is therefore deterministic
+under the :class:`~repro.resilience.clock.VirtualClock`.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ _SHED = REGISTRY.counter(
     "Requests refused by admission control, by tenant and reason")
 _BATCHES = REGISTRY.counter(
     "condor_serve_batches_total",
-    "Coalesced batches executed, by flush trigger and bucket size")
+    "Coalesced batches executed, by bucket size")
 _PADDED = REGISTRY.counter(
     "condor_serve_padded_samples_total",
     "Pad rows added to snap partial batches to their bucket")
@@ -78,7 +83,8 @@ class ServeConfig:
 
     #: Label on every ``condor_serve_*`` metric this server emits.
     name: str = "serve"
-    #: Latency budget a queued request may spend waiting to batch.
+    #: Latency budget per request: completions later than this count
+    #: as ``slo_missed``.  It does not time any flush.
     slo_s: float = 0.010
     #: Batch-size ladder flushes are snapped (padded) to.
     buckets: tuple[int, ...] = DEFAULT_BUCKETS
@@ -94,13 +100,15 @@ class InferenceServer:
         self.fleet = fleet
         self.config = config if config is not None else ServeConfig()
         self.clock = clock if clock is not None else fleet.clock
+        if self.config.slo_s <= 0:
+            raise ServeError(
+                f"serving SLO must be positive, got {self.config.slo_s}")
         if self.config.buckets and \
                 max(self.config.buckets) > fleet.config.capacity:
             raise ServeError(
                 f"bucket ladder {self.config.buckets} exceeds fleet"
                 f" capacity {fleet.config.capacity}")
-        self.batcher = DynamicBatcher(slo_s=self.config.slo_s,
-                                      buckets=self.config.buckets)
+        self.batcher = DynamicBatcher(buckets=self.config.buckets)
         self.admission = AdmissionController(
             tenants, max_queue_depth=self.config.max_queue_depth,
             start_s=self.clock.now)
@@ -113,8 +121,8 @@ class InferenceServer:
         self._failed = 0
         self._shed: dict[str, int] = {}
         self._batch_sizes: dict[int, int] = {}
-        self._triggers: dict[str, int] = {}
         self._padded = 0
+        self._slo_missed = 0
         self.latency_sketch = QuantileSketch()
         _SLOTS.set(len(fleet.slots), server=self.config.name)
 
@@ -125,9 +133,9 @@ class InferenceServer:
         """Admit one request at virtual time ``now``.
 
         Sheds with :class:`~repro.errors.ShedError` (also counted in
-        ``condor_serve_shed_total``).  An admitted request that fills
-        the largest bucket executes its batch before returning; check
-        ``request.ok`` / ``request.completion_s`` for the outcome.
+        ``condor_serve_shed_total``).  An admitted request that finds a
+        lane free executes before returning; check ``request.ok`` /
+        ``request.completion_s`` for the outcome.
         """
         now = self.clock.now if now is None else now
         try:
@@ -141,46 +149,60 @@ class InferenceServer:
         request = ServeRequest(
             tenant=tenant,
             image=np.asarray(image, dtype=np.float32),
-            arrival_s=now, request_id=next(self._ids), deadline_s=now)
-        flush = self.batcher.offer(request)
-        if flush is not None:
-            self._execute(flush, now)
+            arrival_s=now, request_id=next(self._ids))
+        self.batcher.offer(request)
+        self._dispatch(now)
         _QUEUE_DEPTH.set(self.batcher.depth, server=self.config.name)
         return request
 
     def pump(self, now: float | None = None) -> int:
-        """Execute every SLO-due flush at virtual time ``now``."""
+        """Dispatch queued work onto the lanes free at virtual ``now``."""
         now = self.clock.now if now is None else now
-        executed = 0
-        while True:
-            flush = self.batcher.due(now)
-            if flush is None:
-                break
-            self._execute(flush, now)
-            executed += 1
+        executed = self._dispatch(now)
         if executed:
             _QUEUE_DEPTH.set(self.batcher.depth,
                              server=self.config.name)
         return executed
 
     def advance(self, until: float) -> int:
-        """Run every batcher deadline at or before ``until``, in order.
+        """Dispatch the queue at each lane-free instant at or before
+        ``until``, in order.
 
-        The clock sleeps to each deadline and :meth:`pump` flushes what
-        is due there, so ``advance(math.inf)`` flushes the whole queue.
-        An empty queue leaves the clock where it is.  Returns the
-        number of flushes executed.
+        A request is queued only while every lane is busy.  The clock
+        sleeps to the earliest lane-free instant and :meth:`pump`
+        dispatches there, until the queue is empty or the next lane
+        frees after ``until``; the clock stays at the last instant
+        pumped.  ``advance(math.inf)`` drains the queue, and an empty
+        queue leaves the clock where it is.  Returns the number of
+        flushes executed.
         """
         executed = 0
-        while True:
-            deadline = self.batcher.next_deadline()
-            if deadline is None or deadline > until:
-                return executed
-            if deadline > self.clock.now:
-                self.clock.sleep(deadline - self.clock.now)
-            executed += self.pump(deadline)
+        while self.batcher.depth:
+            free = self._lane_free()
+            if free > until:
+                break
+            if free > self.clock.now:
+                self.clock.sleep(free - self.clock.now)
+            executed += self.pump(free)
+        return executed
 
     # -- execution ----------------------------------------------------------
+
+    def _lane_free(self) -> float:
+        """The instant the earliest lane frees."""
+        with self._lock:
+            return min(self._lanes)
+
+    def _dispatch(self, now: float) -> int:
+        """Execute flushes while a lane is free at ``now`` and requests
+        are queued."""
+        executed = 0
+        while True:
+            flush = self.batcher.due(now, self._lane_free())
+            if flush is None:
+                return executed
+            self._execute(flush, now)
+            executed += 1
 
     def _execute(self, flush: Flush, now: float) -> None:
         """Run one flush on the fleet and place it on the timeline."""
@@ -209,20 +231,21 @@ class InferenceServer:
             self._padded += flush.padding
             self._batch_sizes[flush.bucket] = \
                 self._batch_sizes.get(flush.bucket, 0) + 1
-            self._triggers[flush.trigger] = \
-                self._triggers.get(flush.trigger, 0) + 1
             for request in requests:
-                self.latency_sketch.observe(completion - request.arrival_s)
+                latency = completion - request.arrival_s
+                self.latency_sketch.observe(latency)
+                if latency > self.config.slo_s:
+                    self._slo_missed += 1
         for index, request in enumerate(requests):
             request.output = receipt.outputs[index]
+            request.dispatch_s = now
             request.completion_s = completion
             request.bucket = flush.bucket
-            request.trigger = flush.trigger
             request.extra["slot"] = receipt.slot
             _REQUESTS.inc(tenant=request.tenant, status="ok")
             _LATENCY.observe(completion - request.arrival_s,
                              server=self.config.name)
-        _BATCHES.inc(trigger=flush.trigger, size=str(flush.bucket))
+        _BATCHES.inc(size=str(flush.bucket))
         if flush.padding:
             _PADDED.inc(flush.padding)
 
@@ -238,8 +261,8 @@ class InferenceServer:
                 "failed": self._failed,
                 "shed": dict(sorted(self._shed.items())),
                 "batches": dict(sorted(self._batch_sizes.items())),
-                "triggers": dict(sorted(self._triggers.items())),
                 "padded_samples": self._padded,
+                "slo_missed": self._slo_missed,
                 "queue_depth": depth,
                 "lanes": len(self._lanes),
                 "buckets": list(self.batcher.buckets),

@@ -50,6 +50,9 @@ class TestManifest:
         rss = manifest["process"]["peak_rss_bytes"]
         assert rss is None or rss > 1024 * 1024
         assert manifest["host"]["python"]
+        # a flow run fits the span ring whole
+        assert manifest["process"]["span_count"] > 0
+        assert manifest["process"]["spans_dropped"] == 0
 
     def test_resource_and_performance_snapshots(self, run):
         _, result = run
@@ -252,3 +255,20 @@ def test_peak_rss_plausible():
     rss = peak_rss_bytes()
     if rss is not None:
         assert rss > 10 * 1024 * 1024  # a python process is >10 MB
+
+
+def test_manifest_reports_retained_and_dropped_spans(tmp_path):
+    from repro.obs import recording, span
+    from repro.obs.manifest import build_manifest
+    from repro.obs.spans import MAX_SPANS
+
+    with recording() as rec:
+        for _ in range(MAX_SPANS + 10):
+            with span("op"):
+                pass
+    manifest = build_manifest(recorder=rec, workdir=tmp_path,
+                              run={"status": "ok"}, steps=[])
+    assert manifest["process"]["span_count"] == MAX_SPANS
+    assert manifest["process"]["spans_dropped"] == 10
+    assert len(manifest["spans"]) == MAX_SPANS
+    assert manifest["span_summaries"]["op"]["count"] == MAX_SPANS + 10

@@ -1,7 +1,9 @@
 """Span API tests."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.obs import (
     span,
     traced,
 )
+from repro.obs.spans import MAX_SPANS
 
 
 class TestNoRecorder:
@@ -192,6 +195,58 @@ class TestSummaries:
         sketch = rec.sketch("op")
         assert sketch is not None and sketch.count == 20
         assert rec.sketch("never-seen") is None
+
+
+class TestRing:
+    """The recorder keeps the newest ``MAX_SPANS`` spans and counts the
+    rest; the per-name sketches still see every span."""
+
+    def test_keeps_the_newest_spans_in_order(self):
+        extra = 37
+        with recording() as rec:
+            for i in range(MAX_SPANS + extra):
+                with span("op", i=i):
+                    pass
+        assert len(rec) == MAX_SPANS
+        assert [s.attrs["i"] for s in rec.spans] == \
+            list(range(extra, MAX_SPANS + extra))
+        assert rec.dropped == extra
+
+    def test_nothing_dropped_below_the_bound(self):
+        with recording() as rec:
+            for _ in range(MAX_SPANS):
+                with span("op"):
+                    pass
+        assert len(rec) == MAX_SPANS
+        assert rec.dropped == 0
+
+    def test_summaries_count_every_span(self):
+        total = 2 * MAX_SPANS + 5
+        with recording() as rec:
+            for _ in range(total):
+                with span("op"):
+                    pass
+        assert rec.summaries()["op"]["count"] == total
+        assert len(rec) + rec.dropped == total
+
+
+class TestSpanTreeGarbage:
+    def test_span_dies_with_its_recorder_without_a_collection(self):
+        """``span_tree`` leaves no reference cycle holding the spans, so
+        they are freed by reference counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            with recording() as rec:
+                with span("root"):
+                    with span("child"):
+                        pass
+            assert [n["name"] for n in rec.span_tree()] == ["root"]
+            ref = weakref.ref(rec.spans[0])
+            del rec
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSpanAttrs:

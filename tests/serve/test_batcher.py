@@ -1,4 +1,4 @@
-"""DynamicBatcher: bucket snapping and deterministic flush triggers."""
+"""DynamicBatcher: bucket snapping and the lane-free release rule."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from repro.serve.batcher import ServeRequest
 
 def request(i, arrival_s=0.0):
     return ServeRequest(tenant="t", image=np.zeros(2, np.float32),
-                        arrival_s=arrival_s, request_id=i,
-                        deadline_s=arrival_s)
+                        arrival_s=arrival_s, request_id=i)
 
 
 class TestLadder:
@@ -34,52 +33,45 @@ class TestLadder:
         assert batcher.max_batch == 4
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ServeError, match="SLO must be positive"):
-            DynamicBatcher(slo_s=0.0)
         with pytest.raises(ServeError, match="invalid bucket ladder"):
             DynamicBatcher(buckets=())
         with pytest.raises(ServeError, match="invalid bucket ladder"):
             DynamicBatcher(buckets=(0, 2))
 
 
-class TestSizeTrigger:
-    def test_full_largest_bucket_flushes_immediately(self):
+class TestLaneRelease:
+    def test_full_queue_releases_the_largest_bucket(self):
         batcher = DynamicBatcher(buckets=(1, 2, 4))
-        flushes = [batcher.offer(request(i)) for i in range(4)]
-        assert flushes[:3] == [None, None, None]
-        flush = flushes[3]
-        assert flush.trigger == "size"
+        for i in range(5):
+            assert batcher.offer(request(i)) is None
+        flush = batcher.due(0.0, lane_free_s=0.0)
+        assert flush.trigger == "lane"
         assert flush.bucket == 4
         assert flush.padding == 0
-        # FIFO order preserved
+        # FIFO order preserved, the rest stays queued
         assert [r.request_id for r in flush.requests] == [0, 1, 2, 3]
+        assert batcher.depth == 1
+        rest = batcher.due(0.0, lane_free_s=0.0)
+        assert [r.request_id for r in rest.requests] == [4]
+        assert rest.bucket == 1
         assert batcher.depth == 0
 
-    def test_offer_stamps_the_slo_deadline(self):
-        batcher = DynamicBatcher(slo_s=0.25)
-        batcher.offer(request(0, arrival_s=1.0))
-        assert batcher.next_deadline() == pytest.approx(1.25)
-
-
-class TestSloTrigger:
-    def test_due_respects_the_oldest_deadline(self):
-        batcher = DynamicBatcher(slo_s=0.010)
+    def test_due_holds_the_queue_while_every_lane_is_busy(self):
+        batcher = DynamicBatcher()
         batcher.offer(request(0, arrival_s=0.0))
         batcher.offer(request(1, arrival_s=0.004))
         batcher.offer(request(2, arrival_s=0.008))
-        assert batcher.due(0.009) is None  # oldest deadline is 0.010
-        flush = batcher.due(0.010)
+        # the earliest lane frees at 0.010: nothing is released before
+        assert batcher.due(0.009, lane_free_s=0.010) is None
+        assert batcher.depth == 3
+        flush = batcher.due(0.010, lane_free_s=0.010)
         assert flush is not None
-        assert flush.trigger == "slo"
         # three requests snap to bucket 4 with one pad row
         assert flush.bucket == 4
         assert flush.padding == 1
         assert [r.request_id for r in flush.requests] == [0, 1, 2]
         assert batcher.depth == 0
-        assert batcher.next_deadline() is None
 
     def test_empty_batcher_is_never_due(self):
         batcher = DynamicBatcher()
-        assert batcher.next_deadline() is None
-        assert batcher.due(1e9) is None
-
+        assert batcher.due(1e9, lane_free_s=0.0) is None

@@ -58,8 +58,10 @@ class TestServeCommand:
         doc = json.loads(report.read_text())
         assert doc["server"] == "tc1"
         assert doc["batches"]
-        # human output mentions the throughput line
+        assert doc["slo_missed"] == 0
+        # human output mentions the throughput and SLO lines
         assert "req/s" in captured.out
+        assert "slo missed 0 (over 10ms)" in captured.out
 
     def test_fail_under_rps_gates(self, tmp_path, capsys):
         code, captured = run_serve(tmp_path, capsys,

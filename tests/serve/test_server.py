@@ -15,7 +15,13 @@ import pytest
 from repro.errors import FleetError, ServeError, ShedError
 from repro.obs import REGISTRY
 from repro.resilience.clock import VirtualClock
-from repro.serve import InferenceServer, ServeConfig, TenantSpec
+from repro.serve import (
+    InferenceServer,
+    LoadSpec,
+    ServeConfig,
+    TenantSpec,
+    run_load,
+)
 from tests.serve.conftest import StubFleet, make_fleet
 
 TENANTS = (TenantSpec("alpha"), TenantSpec("beta"))
@@ -35,21 +41,21 @@ class TestBatchingCorrectness:
     @pytest.mark.parametrize("model", ["tc1", "lenet", "cifar10"])
     def test_coalesced_outputs_bit_identical_across_zoo(
             self, model, server_name):
-        fleet = StubFleet(model)
+        # one lane, 10 ms per row: the first request takes the idle
+        # lane, the other eleven queue behind it and coalesce
+        fleet = StubFleet(model, slots=1, device_seconds=0.010)
         server = make_server(fleet, server_name, slo_s=0.010)
         rng = np.random.default_rng(11)
-        pool = images_for(fleet, rng, 11)
+        pool = images_for(fleet, rng, 12)
         requests = []
-        # eight back-to-back arrivals fill the largest bucket (size
-        # trigger); three stragglers flush at their SLO (padded)
-        for i in range(11):
+        for i in range(12):
             requests.append(
-                server.submit("alpha", pool[i], now=0.001 * i))
-        assert server.pump(0.010 + 0.010) == 1
-        assert [r.trigger for r in requests] == ["size"] * 8 + \
-            ["slo"] * 3
-        assert requests[8].bucket == 4  # 3 requests snapped up
-        assert fleet.batch_sizes == [8, 4]  # the padded flush
+                server.submit("alpha", pool[i], now=0.0001 * i))
+        assert fleet.batch_sizes == [1]
+        assert server.advance(math.inf) == 2
+        # eight fill the largest bucket; three are padded up to four
+        assert [r.bucket for r in requests] == [1] + [8] * 8 + [4] * 3
+        assert fleet.batch_sizes == [1, 8, 4]
         for i, request in enumerate(requests):
             single = fleet.golden.forward_batch(pool[i][None]) \
                 .reshape(1, -1)[0]
@@ -61,8 +67,8 @@ class TestBatchingCorrectness:
         server = make_server(fleet, server_name, buckets=(4,))
         rng = np.random.default_rng(12)
         pool = images_for(fleet, rng, 1)
+        # an idle lane: 1 request dispatches at once, padded to bucket 4
         request = server.submit("alpha", pool[0], now=0.0)
-        server.pump(1.0)  # SLO flush: 1 request padded to bucket 4
         assert request.bucket == 4
         assert fleet.batch_sizes == [4]
         single = fleet.golden.forward_batch(pool[0][None]) \
@@ -74,37 +80,122 @@ class TestBatchingCorrectness:
 
     def test_flush_triggers_are_deterministic_on_the_clock(
             self, server_name):
-        fleet = StubFleet("tc1")
+        fleet = StubFleet("tc1", slots=1, device_seconds=1e-3)
         server = make_server(fleet, server_name, slo_s=0.010,
                              buckets=(1, 2, 4, 8))
         rng = np.random.default_rng(13)
         pool = images_for(fleet, rng, 10)
         reqs = [server.submit("alpha", pool[i], now=0.0)
                 for i in range(8)]
-        assert all(r.trigger == "size" for r in reqs)  # instant flush
-        late = [server.submit("beta", pool[8 + i], now=0.020 + 1e-4 * i)
+        # the first takes the idle lane; the rest wait for it to free
+        assert reqs[0].completion_s == pytest.approx(1e-3)
+        assert all(r.completion_s is None for r in reqs[1:])
+        assert server.pump(0.0009) == 0  # a tick early: lane busy
+        assert server.pump(1e-3) == 1
+        assert [r.bucket for r in reqs[1:]] == [8] * 7
+        assert reqs[7].completion_s == pytest.approx(1e-3 + 8e-3)
+        # late arrivals find the lane free again and run alone
+        late = [server.submit("beta", pool[8 + i], now=0.020 + 0.002 * i)
                 for i in range(2)]
-        assert server.batcher.next_deadline() == pytest.approx(0.030)
-        assert server.pump(0.0299) == 0  # a tick early: nothing due
-        assert server.pump(0.030) == 1
-        assert [r.trigger for r in late] == ["slo", "slo"]
-        assert [r.bucket for r in late] == [2, 2]
+        assert [r.bucket for r in late] == [1, 1]
+        assert [r.completion_s for r in late] == \
+            [pytest.approx(0.021), pytest.approx(0.023)]
         stats = server.stats()
-        assert stats["triggers"] == {"size": 1, "slo": 1}
-        assert stats["batches"] == {2: 1, 8: 1}
+        assert stats["batches"] == {1: 3, 8: 1}
+        assert stats["padded_samples"] == 1
+
+
+class TestWorkConservingDispatch:
+    """The one release rule: dispatch as soon as a lane is free."""
+
+    def test_idle_lane_dispatches_at_arrival(self, server_name):
+        fleet = StubFleet("tc1", slots=2, device_seconds=1e-3)
+        server = make_server(fleet, server_name)
+        pool = images_for(fleet, np.random.default_rng(21), 1)
+        request = server.submit("alpha", pool[0], now=0.5)
+        assert request.bucket == 1
+        assert request.dispatch_s == 0.5
+        assert request.completion_s == pytest.approx(0.5 + 1e-3)
+        assert server.batcher.depth == 0
+
+    def test_busy_lanes_hold_the_queue_and_release_it_fifo(
+            self, server_name):
+        fleet = StubFleet("tc1", slots=2, device_seconds=1e-3)
+        server = make_server(fleet, server_name)
+        pool = images_for(fleet, np.random.default_rng(22), 13)
+        first = [server.submit("alpha", pool[i], now=0.0)
+                 for i in range(2)]
+        assert [r.bucket for r in first] == [1, 1]  # one per lane
+        held = [server.submit("alpha", pool[2 + i], now=5e-5 * (i + 1))
+                for i in range(11)]
+        assert server.batcher.depth == 11
+        assert all(r.completion_s is None for r in held)
+        # both lanes free at 1 ms: the oldest eight fill the largest
+        # bucket on one lane, the next three the other lane
+        assert server.advance(math.inf) == 2
+        assert [r.dispatch_s for r in held] == [1e-3] * 11
+        assert [r.bucket for r in held] == [8] * 8 + [4] * 3
+        assert fleet.batch_sizes == [1, 1, 8, 4]
+        assert server.clock.now == 1e-3
+
+    def test_advance_stops_at_the_last_lane_free_instant(
+            self, server_name):
+        fleet = StubFleet("tc1", slots=1, device_seconds=1e-3)
+        server = make_server(fleet, server_name, buckets=(1,))
+        pool = images_for(fleet, np.random.default_rng(23), 4)
+        for i in range(4):
+            server.submit("alpha", pool[i], now=0.0)
+        # the lane frees at 1, 2 and 3 ms; only the first two are due
+        assert server.advance(2.5e-3) == 2
+        assert server.clock.now == pytest.approx(2e-3)
+        assert server.batcher.depth == 1
+        assert server.advance(math.inf) == 1
+        assert server.clock.now == pytest.approx(3e-3)
+
+    def test_no_request_waits_on_a_lane(self, server_name):
+        fleet = StubFleet("tc1", slots=2, device_seconds=1e-3)
+        server = make_server(fleet, server_name,
+                             max_queue_depth=10 ** 6)
+        spec = LoadSpec(rate_rps=3000.0, duration_s=0.2, seed=3,
+                        tenants=TENANTS)
+        report = run_load(server, spec, keep_requests=True)
+        assert report.completed == report.offered
+        assert len(report.batches) > 1  # lanes were busy at times
+        for request in report.requests:
+            device = fleet.device_seconds * request.bucket
+            assert request.completion_s - device == \
+                pytest.approx(request.dispatch_s, abs=1e-12)
+            assert request.dispatch_s >= request.arrival_s
+
+    def test_slo_misses_counted_not_flushed(self, server_name):
+        fleet = StubFleet("tc1", slots=1, device_seconds=4e-3)
+        server = make_server(fleet, server_name, slo_s=0.010)
+        pool = images_for(fleet, np.random.default_rng(24), 5)
+        early = server.submit("alpha", pool[0], now=0.0)
+        late = [server.submit("alpha", pool[1 + i], now=1e-3)
+                for i in range(4)]
+        server.advance(math.inf)
+        assert early.latency_s == pytest.approx(4e-3)
+        # held until 4 ms, then 16 ms on the device: 19 ms > 10 ms
+        assert [r.latency_s for r in late] == [pytest.approx(0.019)] * 4
+        stats = server.stats()
+        assert stats["slo_missed"] == 4
+        assert stats["completed"] == 5
 
 
 class TestAdmissionPath:
     def test_queue_bound_sheds_typed(self, server_name):
-        fleet = StubFleet("tc1")
+        # one lane kept busy, so requests after the first stay queued
+        fleet = StubFleet("tc1", slots=1, device_seconds=1.0)
         server = make_server(fleet, server_name, buckets=(8,),
                              max_queue_depth=4)
         rng = np.random.default_rng(14)
-        pool = images_for(fleet, rng, 5)
-        for i in range(4):
+        pool = images_for(fleet, rng, 6)
+        for i in range(5):
             server.submit("alpha", pool[i], now=0.0)
+        assert server.batcher.depth == 4
         with pytest.raises(ShedError) as info:
-            server.submit("alpha", pool[4], now=0.0)
+            server.submit("alpha", pool[5], now=0.0)
         assert info.value.reason == "queue"
         assert server.stats()["shed"] == {"queue": 1}
 
@@ -115,6 +206,10 @@ class TestAdmissionPath:
             server.submit("nobody",
                           images_for(fleet,
                                      np.random.default_rng(0), 1)[0])
+
+    def test_nonpositive_slo_rejected(self, server_name):
+        with pytest.raises(ServeError, match="SLO must be positive"):
+            make_server(StubFleet("tc1"), server_name, slo_s=0.0)
 
     def test_oversize_bucket_ladder_rejected(self, server_name):
         fleet = StubFleet("tc1", capacity=4)
@@ -142,7 +237,10 @@ class TestFailureAndLanes:
         first = server.submit("alpha", pool[0], now=0.0)
         second = server.submit("alpha", pool[1], now=0.0)
         assert first.completion_s == pytest.approx(1e-4)
-        # the second flush queued behind the first on the only lane
+        # the second request is held until the only lane frees
+        assert second.completion_s is None
+        assert server.advance(math.inf) == 1
+        assert second.dispatch_s == pytest.approx(1e-4)
         assert second.completion_s == pytest.approx(2e-4)
         assert second.latency_s == pytest.approx(2e-4)
 
@@ -163,34 +261,37 @@ class TestFailureAndLanes:
 
 
 class TestEventSchedule:
-    def test_advance_flushes_each_deadline_in_order(self, server_name):
-        fleet = StubFleet("tc1", slots=1, device_seconds=1e-4)
+    def test_advance_dispatches_at_each_lane_free_instant(
+            self, server_name):
+        fleet = StubFleet("tc1", slots=1, device_seconds=1e-3)
         server = make_server(fleet, server_name, slo_s=0.010)
         clock = server.clock
-        pool = images_for(fleet, np.random.default_rng(19), 2)
+        pool = images_for(fleet, np.random.default_rng(19), 4)
         assert server.advance(1.0) == 0  # empty queue: clock stays
         assert clock.now == 0.0
         first = server.submit("alpha", pool[0], now=0.0)
-        assert server.advance(0.005) == 0  # before the first deadline
+        assert first.completion_s == pytest.approx(1e-3)  # idle lane
+        second = server.submit("alpha", pool[1], now=2e-4)
+        third = server.submit("alpha", pool[2], now=4e-4)
+        assert server.advance(5e-4) == 0  # the lane frees at 1 ms
         assert clock.now == 0.0
-        # arrivals walk the clock the way run_load does: advance to the
-        # arrival, then submit; the second deadline lies past 0.015
-        assert server.advance(0.015) == 1
-        assert clock.now == first.deadline_s
-        assert first.trigger == "slo"
-        assert first.completion_s == pytest.approx(first.deadline_s + 1e-4)
-        second = server.submit("alpha", pool[1], now=0.015)
-        assert first.deadline_s < 0.015 < second.deadline_s
-        assert server.advance(0.020) == 0
         assert second.completion_s is None
+        # arrivals walk the clock the way run_load does: advance to the
+        # arrival, then submit
+        assert server.advance(1.5e-3) == 1
+        assert clock.now == pytest.approx(1e-3)
+        assert second.bucket == third.bucket == 2
+        assert third.completion_s == pytest.approx(3e-3)
+        fourth = server.submit("alpha", pool[3], now=1.5e-3)
+        assert server.advance(2e-3) == 0
+        assert fourth.completion_s is None
         assert server.advance(math.inf) == 1
-        assert clock.now == pytest.approx(second.deadline_s)
-        assert second.completion_s == \
-            pytest.approx(second.deadline_s + 1e-4)
+        assert clock.now == pytest.approx(3e-3)
+        assert fourth.completion_s == pytest.approx(4e-3)
         now = clock.now
         assert server.advance(math.inf) == 0  # drained: clock stays
         assert clock.now == now
-        assert fleet.batch_sizes == [1, 1]
+        assert fleet.batch_sizes == [1, 2, 1]
 
 
 class TestRealFleetServing:
@@ -199,18 +300,19 @@ class TestRealFleetServing:
         fleet = make_fleet(image, weights, clock=VirtualClock())
         server = make_server(fleet, server_name, slo_s=0.010)
         rng = np.random.default_rng(18)
-        pool = images_for(fleet, rng, 11)
-        requests = [server.submit("alpha", pool[i], now=0.001 * i)
-                    for i in range(11)]
-        server.pump(1.0)
+        pool = images_for(fleet, rng, 13)
+        # a burst: the first two take the two idle lanes, the other
+        # eleven queue and leave as a full bucket and a padded one
+        requests = [server.submit("alpha", pool[i], now=0.0)
+                    for i in range(13)]
+        server.advance(math.inf)
         assert all(r.ok for r in requests)
         for i, request in enumerate(requests):
             assert np.array_equal(request.output,
                                   fleet.run(pool[i][None])[0])
         stats = server.stats()
-        assert stats["completed"] == 11
-        assert stats["batches"] == {4: 1, 8: 1}
-        assert stats["triggers"] == {"size": 1, "slo": 1}
+        assert stats["completed"] == 13
+        assert stats["batches"] == {1: 2, 4: 1, 8: 1}
 
 
     def test_serving_makes_no_per_flush_estimate(
