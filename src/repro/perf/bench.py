@@ -416,7 +416,7 @@ def bench_serve(name: str, *, workdir: Path | str,
     Builds one AFI with a Condor flow run in ``workdir``, then serves
     the *same* seeded workload twice on fresh single-slot fleets over
     fresh virtual clocks: once with the full bucket ladder (requests
-    coalesce into padded batches), once with ``buckets=(1,)`` (every
+    coalesce into bucket-sized batches), once with ``buckets=(1,)`` (every
     request is its own fleet submission).
     The offered rate saturates the slot, so both runs are
     service-limited and ``speedup_vs_baseline`` — the single/batched

@@ -5,21 +5,23 @@ A kernel launch amortizes the pipeline fill over the batch
 per weights write, not per launch).  A naive
 coalescer that flushes whatever happens to be queued would emit every
 batch size from 1 to capacity.  The :class:`DynamicBatcher` instead
-snaps every flush to a small ladder of **buckets** (default 1/2/4/8): a
-flush of three requests is padded to four, so steady-state serving
-runs exactly ``len(buckets)`` batch sizes.  Each bucket bills a fixed,
-known device time, the per-bucket telemetry stays a handful of
-series, and a warm-up of one batch per bucket per slot covers every
-shape the fleet will run.
+releases only batch sizes on a small ladder of **buckets** (default
+1/2/4/8), so steady-state serving runs exactly ``len(buckets)`` batch
+sizes.  Each bucket bills a fixed, known device time, the per-bucket
+telemetry stays a handful of series, and a warm-up of one batch per
+bucket per slot covers every shape the fleet will run.
 
-One work-conserving rule releases work: **a queued request is
-dispatched as soon as a lane is free.**  The flush takes whatever is
-queued, oldest first, up to the largest bucket, padded to the smallest
-covering bucket.  While every lane is busy the queue is held, so
-requests coalesce only when batching buys throughput; an earlier flush
-onto a busy lane would start no sooner.  At low load every request
-therefore runs alone at its arrival, and at high load the queue fills
-the largest bucket while the lanes drain.
+One work-conserving rule releases work: **when a lane is free, the
+flush takes the largest bucket the queue fills**, oldest first.  Five
+queued requests release four and leave one queued; three release two.
+Every row of the launch costs a full II, so a pad row would hold the
+lane for nothing: a flush is padded only when the queue holds fewer
+requests than the smallest bucket, which happens only on ladders
+without 1.  While every lane is busy the queue is held, so requests
+coalesce only when batching buys throughput; an earlier flush onto a
+busy lane would start no sooner.  At low load every request therefore
+runs alone at its arrival, and at high load the queue fills the
+largest bucket while the lanes drain.
 
 The batcher never sleeps, never owns a thread and knows nothing of the
 fleet: :meth:`due` is told when the earliest lane is free.
@@ -59,7 +61,8 @@ class ServeRequest:
     #: Virtual time the carrying batch went to the fleet.
     dispatch_s: float | None = None
     completion_s: float | None = None
-    #: Bucket the carrying batch was padded to (set at execution).
+    #: Batch size the carrying flush ran at (set at execution): its
+    #: real row count, unless the ladder's smallest bucket exceeds it.
     bucket: int | None = None
     error: str | None = None
     extra: dict = field(default_factory=dict)
@@ -100,7 +103,6 @@ class DynamicBatcher:
         if not ladder or ladder[0] < 1:
             raise ServeError(f"invalid bucket ladder {buckets!r}")
         self.buckets = ladder
-        self.max_batch = ladder[-1]
         self._lock = new_lock("serve.batcher.DynamicBatcher")
         self._pending: deque[ServeRequest] = deque()
 
@@ -109,15 +111,6 @@ class DynamicBatcher:
         """Requests currently queued (the admission-control signal)."""
         with self._lock:
             return len(self._pending)
-
-    def bucket_for(self, count: int) -> int:
-        """The smallest bucket covering ``count`` requests."""
-        index = bisect.bisect_left(self.buckets, count)
-        if index == len(self.buckets):
-            raise ServeError(
-                f"no bucket covers a batch of {count}"
-                f" (ladder {self.buckets})")
-        return self.buckets[index]
 
     def offer(self, request: ServeRequest) -> None:
         """Queue one admitted request; :meth:`due` releases it."""
@@ -128,13 +121,17 @@ class DynamicBatcher:
         """Release the head of the queue if a lane is free at ``now``.
 
         ``lane_free_s`` is the instant the earliest lane frees.  The
-        flush takes the oldest requests, up to the largest bucket,
-        snapped to the smallest covering bucket.  With nothing queued,
-        or every lane busy (``lane_free_s > now``), the queue is held.
+        flush takes the oldest requests that fill the largest bucket
+        the queue can fill, and the rest stays queued; a queue shorter
+        than the smallest bucket goes out whole, padded to it.  With
+        nothing queued, or every lane busy (``lane_free_s > now``), the
+        queue is held.
         """
         with self._lock:
             if not self._pending or lane_free_s > now:
                 return None
-            count = min(len(self._pending), self.max_batch)
+            index = bisect.bisect_right(self.buckets, len(self._pending))
+            bucket = self.buckets[max(index - 1, 0)]
+            count = min(bucket, len(self._pending))
             taken = tuple(self._pending.popleft() for _ in range(count))
-        return Flush(requests=taken, bucket=self.bucket_for(count))
+        return Flush(requests=taken, bucket=bucket)

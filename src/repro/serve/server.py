@@ -3,7 +3,7 @@
 :class:`InferenceServer` is the layer the ROADMAP's serving item asks
 for: requests enter one at a time (per tenant), pass admission control
 (quota + queue bound → typed shedding), coalesce in the
-:class:`~repro.serve.batcher.DynamicBatcher`, and execute as padded
+:class:`~repro.serve.batcher.DynamicBatcher`, and execute as
 bucket-sized batches via :meth:`FleetManager.submit` — so every
 submission inherits the fleet's watchdogs, scrubbing and failover for
 free.
@@ -65,7 +65,7 @@ _BATCHES = REGISTRY.counter(
     "Coalesced batches executed, by bucket size")
 _PADDED = REGISTRY.counter(
     "condor_serve_padded_samples_total",
-    "Pad rows added to snap partial batches to their bucket")
+    "Pad rows added to a queue shorter than the smallest bucket")
 _LATENCY = REGISTRY.summary(
     "condor_serve_latency_seconds",
     "End-to-end request latency on the virtual timeline, per server")
@@ -86,7 +86,8 @@ class ServeConfig:
     #: Latency budget per request: completions later than this count
     #: as ``slo_missed``.  It does not time any flush.
     slo_s: float = 0.010
-    #: Batch-size ladder flushes are snapped (padded) to.
+    #: Batch-size ladder: a flush takes the largest bucket the queue
+    #: fills, padded only when the queue is shorter than the smallest.
     buckets: tuple[int, ...] = DEFAULT_BUCKETS
     #: Queue bound beyond which admission sheds (``reason="queue"``).
     max_queue_depth: int = 512

@@ -1,4 +1,4 @@
-"""DynamicBatcher: bucket snapping and the lane-free release rule."""
+"""DynamicBatcher: the bucket ladder and the lane-free release rule."""
 
 import numpy as np
 import pytest
@@ -17,20 +17,9 @@ class TestLadder:
     def test_default_ladder_matches_plan_cache_bound(self):
         assert DEFAULT_BUCKETS == (1, 2, 4, 8)
 
-    def test_bucket_for_snaps_up(self):
-        batcher = DynamicBatcher()
-        assert [batcher.bucket_for(n) for n in range(1, 9)] == \
-            [1, 2, 4, 4, 8, 8, 8, 8]
-
-    def test_bucket_for_rejects_oversize(self):
-        batcher = DynamicBatcher(buckets=(1, 2))
-        with pytest.raises(ServeError, match="no bucket covers"):
-            batcher.bucket_for(3)
-
     def test_ladder_is_sorted_and_deduped(self):
         batcher = DynamicBatcher(buckets=(4, 1, 4, 2))
         assert batcher.buckets == (1, 2, 4)
-        assert batcher.max_batch == 4
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ServeError, match="invalid bucket ladder"):
@@ -66,12 +55,44 @@ class TestLaneRelease:
         assert batcher.depth == 3
         flush = batcher.due(0.010, lane_free_s=0.010)
         assert flush is not None
-        # three requests snap to bucket 4 with one pad row
-        assert flush.bucket == 4
-        assert flush.padding == 1
-        assert [r.request_id for r in flush.requests] == [0, 1, 2]
-        assert batcher.depth == 0
+        # three requests fill bucket 2; the third stays queued
+        assert flush.bucket == 2
+        assert flush.padding == 0
+        assert [r.request_id for r in flush.requests] == [0, 1]
+        assert batcher.depth == 1
 
     def test_empty_batcher_is_never_due(self):
         batcher = DynamicBatcher()
         assert batcher.due(1e9, lane_free_s=0.0) is None
+
+
+class TestLargestFilledBucket:
+    """A flush takes the largest bucket the queue fills, never pad rows
+    while the queue fills the smallest bucket."""
+
+    @pytest.mark.parametrize("queued, bucket", [
+        (1, 1), (2, 2), (3, 2), (4, 4), (5, 4), (7, 4), (8, 8), (9, 8),
+        (17, 8)])
+    def test_flush_takes_the_largest_filled_bucket(self, queued, bucket):
+        batcher = DynamicBatcher()
+        for i in range(queued):
+            batcher.offer(request(i))
+        flush = batcher.due(0.0, lane_free_s=0.0)
+        assert flush.bucket == bucket
+        assert flush.padding == 0
+        assert [r.request_id for r in flush.requests] == \
+            list(range(bucket))
+        assert batcher.depth == queued - bucket
+
+    def test_only_a_queue_short_of_the_smallest_bucket_pads(self):
+        batcher = DynamicBatcher(buckets=(2, 4, 8))
+        for i in range(3):
+            batcher.offer(request(i))
+        first = batcher.due(0.0, lane_free_s=0.0)
+        assert (first.bucket, first.padding) == (2, 0)
+        assert [r.request_id for r in first.requests] == [0, 1]
+        # one request left, short of bucket 2: it goes out padded
+        rest = batcher.due(0.0, lane_free_s=0.0)
+        assert (rest.bucket, rest.padding) == (2, 1)
+        assert [r.request_id for r in rest.requests] == [2]
+        assert batcher.depth == 0

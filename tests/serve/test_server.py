@@ -52,10 +52,12 @@ class TestBatchingCorrectness:
             requests.append(
                 server.submit("alpha", pool[i], now=0.0001 * i))
         assert fleet.batch_sizes == [1]
-        assert server.advance(math.inf) == 2
-        # eight fill the largest bucket; three are padded up to four
-        assert [r.bucket for r in requests] == [1] + [8] * 8 + [4] * 3
-        assert fleet.batch_sizes == [1, 8, 4]
+        assert server.advance(math.inf) == 3
+        # eight fill the largest bucket; of the three left, two fill
+        # bucket 2 and the last runs alone: no pad row
+        assert [r.bucket for r in requests] == \
+            [1] + [8] * 8 + [2] * 2 + [1]
+        assert fleet.batch_sizes == [1, 8, 2, 1]
         for i, request in enumerate(requests):
             single = fleet.golden.forward_batch(pool[i][None]) \
                 .reshape(1, -1)[0]
@@ -91,9 +93,16 @@ class TestBatchingCorrectness:
         assert reqs[0].completion_s == pytest.approx(1e-3)
         assert all(r.completion_s is None for r in reqs[1:])
         assert server.pump(0.0009) == 0  # a tick early: lane busy
+        # seven queued fill bucket 4, then 2, then 1, one per lane-free
+        # instant
         assert server.pump(1e-3) == 1
-        assert [r.bucket for r in reqs[1:]] == [8] * 7
-        assert reqs[7].completion_s == pytest.approx(1e-3 + 8e-3)
+        assert [r.bucket for r in reqs[1:5]] == [4] * 4
+        assert all(r.completion_s is None for r in reqs[5:])
+        assert server.pump(5e-3) == 1
+        assert server.pump(7e-3) == 1
+        assert [r.bucket for r in reqs[5:]] == [2, 2, 1]
+        # eight real rows and no pad row: the lane is done at 8 ms
+        assert reqs[7].completion_s == pytest.approx(8e-3)
         # late arrivals find the lane free again and run alone
         late = [server.submit("beta", pool[8 + i], now=0.020 + 0.002 * i)
                 for i in range(2)]
@@ -101,8 +110,8 @@ class TestBatchingCorrectness:
         assert [r.completion_s for r in late] == \
             [pytest.approx(0.021), pytest.approx(0.023)]
         stats = server.stats()
-        assert stats["batches"] == {1: 3, 8: 1}
-        assert stats["padded_samples"] == 1
+        assert stats["batches"] == {1: 4, 2: 1, 4: 1}
+        assert stats["padded_samples"] == 0
 
 
 class TestWorkConservingDispatch:
@@ -131,12 +140,13 @@ class TestWorkConservingDispatch:
         assert server.batcher.depth == 11
         assert all(r.completion_s is None for r in held)
         # both lanes free at 1 ms: the oldest eight fill the largest
-        # bucket on one lane, the next three the other lane
-        assert server.advance(math.inf) == 2
-        assert [r.dispatch_s for r in held] == [1e-3] * 11
-        assert [r.bucket for r in held] == [8] * 8 + [4] * 3
-        assert fleet.batch_sizes == [1, 1, 8, 4]
-        assert server.clock.now == 1e-3
+        # bucket on one lane and the next two bucket 2 on the other;
+        # the last waits for that lane to free at 3 ms
+        assert server.advance(math.inf) == 3
+        assert [r.dispatch_s for r in held] == [1e-3] * 10 + [3e-3]
+        assert [r.bucket for r in held] == [8] * 8 + [2] * 2 + [1]
+        assert fleet.batch_sizes == [1, 1, 8, 2, 1]
+        assert server.clock.now == 3e-3
 
     def test_advance_stops_at_the_last_lane_free_instant(
             self, server_name):
@@ -181,6 +191,51 @@ class TestWorkConservingDispatch:
         stats = server.stats()
         assert stats["slo_missed"] == 4
         assert stats["completed"] == 5
+
+    def test_random_arrivals_run_pad_free_fifo_and_bit_identical(
+            self, server_name):
+        """On the default ladder no pad row ever runs, whatever the
+        arrival pattern and lane count."""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=60, deadline=None)
+        @given(gaps=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+               lanes=st.integers(1, 3))
+        def run(gaps, lanes):
+            fleet = StubFleet("tc1", slots=lanes, device_seconds=1e-3)
+            server = make_server(fleet, server_name,
+                                 buckets=(1, 2, 4, 8))
+            pool = images_for(fleet, np.random.default_rng(len(gaps)),
+                              len(gaps))
+            # gaps of 0-0.6 ms against 1 ms per row: lanes are mostly
+            # busy and bursts queue
+            arrivals = np.cumsum(gaps) * 1e-4
+            requests = []
+            for i, arrival in enumerate(arrivals):
+                server.advance(arrival)
+                requests.append(server.submit(
+                    TENANTS[i % 2].name, pool[i], now=arrival))
+            server.advance(math.inf)
+            assert server.stats()["padded_samples"] == 0
+            assert sum(fleet.batch_sizes) == len(requests)
+            # FIFO: flush k carries the next batch_sizes[k] requests
+            dispatched = [r.dispatch_s for r in requests]
+            assert dispatched == sorted(dispatched)
+            start = 0
+            for size in fleet.batch_sizes:
+                flush = requests[start:start + size]
+                start += size
+                assert {r.bucket for r in flush} == {size}
+                assert len({r.dispatch_s for r in flush}) == 1
+            for i, request in enumerate(requests):
+                device = fleet.device_seconds * request.bucket
+                assert request.completion_s - device == \
+                    pytest.approx(request.dispatch_s, abs=1e-12)
+                single = fleet.golden.forward_batch(pool[i][None]) \
+                    .reshape(1, -1)[0]
+                assert np.array_equal(request.output, single)
+
+        run()
 
 
 class TestAdmissionPath:
@@ -302,7 +357,7 @@ class TestRealFleetServing:
         rng = np.random.default_rng(18)
         pool = images_for(fleet, rng, 13)
         # a burst: the first two take the two idle lanes, the other
-        # eleven queue and leave as a full bucket and a padded one
+        # eleven queue and leave as buckets 8, 2 and 1, no pad row
         requests = [server.submit("alpha", pool[i], now=0.0)
                     for i in range(13)]
         server.advance(math.inf)
@@ -312,7 +367,8 @@ class TestRealFleetServing:
                                   fleet.run(pool[i][None])[0])
         stats = server.stats()
         assert stats["completed"] == 13
-        assert stats["batches"] == {1: 2, 4: 1, 8: 1}
+        assert stats["batches"] == {1: 3, 2: 1, 8: 1}
+        assert stats["padded_samples"] == 0
 
 
     def test_serving_makes_no_per_flush_estimate(
